@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .closed_form import InfeasibleAllocationError, PowerAllocation
@@ -119,26 +116,25 @@ class ExperimentConfig:
     sweep: dict
     montecarlo: dict
     output: dict
-    total_dl_power: float
-    unicast_energy_budgets: list
-    multicast_energy_budgets: list
+    base_system: SystemConfig
     geometry: CellGeometry
     profile: LargeScaleProfile
 
+    @property
+    def total_dl_power(self) -> float:
+        return self.base_system.total_dl_power
+
+    @property
+    def unicast_energy_budgets(self) -> list:
+        return self.base_system.unicast_energy_budgets
+
+    @property
+    def multicast_energy_budgets(self) -> list:
+        return self.base_system.multicast_energy_budgets
+
     def system(self, n_antennas: int | None = None) -> SystemConfig:
-        sc = self.scenario
-        return SystemConfig(
-            n_antennas=n_antennas or sc["n_antennas"],
-            n_unicast=sc["n_unicast"],
-            n_groups=sc["n_groups"],
-            group_sizes=sc["group_sizes"],
-            coherence_symbols=sc["coherence_symbols"],
-            total_dl_power=self.total_dl_power,
-            unicast_energy_budgets=self.unicast_energy_budgets,
-            multicast_energy_budgets=self.multicast_energy_budgets,
-            unicast_weights=sc.get("unicast_weights"),
-            pilot_length=sc.get("pilot_length"),
-        )
+        return replace(self.base_system,
+                       n_antennas=n_antennas or self.base_system.n_antennas)
 
     def provenance(self) -> dict:
         """Resolved config echoed into every output file.
@@ -229,6 +225,22 @@ def load_config(raw: dict) -> ExperimentConfig:
                 for g, k in zip(mb, sc["group_sizes"])
             ]
 
+    try:
+        system = SystemConfig(
+            n_antennas=sc["n_antennas"],
+            n_unicast=n_unicast,
+            n_groups=n_groups,
+            group_sizes=sc["group_sizes"],
+            coherence_symbols=sc["coherence_symbols"],
+            total_dl_power=total_power,
+            unicast_energy_budgets=uni_budgets,
+            multicast_energy_budgets=multi_budgets,
+            unicast_weights=sc.get("unicast_weights"),
+            pilot_length=sc.get("pilot_length"),
+        )
+    except ValueError as exc:
+        raise ConfigError("scenario", str(exc))
+
     # geometry: explicit distances win over a drop seed
     if "unicast_distances" in sc or "multicast_distances" in sc:
         try:
@@ -242,20 +254,8 @@ def load_config(raw: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("scenario.unicast_distances", str(exc))
     elif "seed" in sc:
-        probe = SystemConfig(
-            n_antennas=sc["n_antennas"],
-            n_unicast=n_unicast,
-            n_groups=n_groups,
-            group_sizes=sc["group_sizes"],
-            coherence_symbols=sc["coherence_symbols"],
-            total_dl_power=total_power,
-            unicast_energy_budgets=uni_budgets,
-            multicast_energy_budgets=multi_budgets,
-            unicast_weights=sc.get("unicast_weights"),
-            pilot_length=sc.get("pilot_length"),
-        )
         geometry = place_users(
-            probe, sc["cell_radius_m"], sc["exclusion_radius_m"], sc["seed"]
+            system, sc["cell_radius_m"], sc["exclusion_radius_m"], sc["seed"]
         )
     else:
         raise ConfigError(
@@ -265,18 +265,10 @@ def load_config(raw: dict) -> ExperimentConfig:
         geometry, sc["pathloss_exponent"], sc["attenuation_const"]
     )
 
-    try:
-        cfg = ExperimentConfig(
-            scenario=sc, sweep=sweep, montecarlo=mc, output=out,
-            total_dl_power=total_power,
-            unicast_energy_budgets=uni_budgets,
-            multicast_energy_budgets=multi_budgets,
-            geometry=geometry, profile=profile,
-        )
-        cfg.system()  # run SystemConfig invariant checks once, eagerly
-    except ValueError as exc:
-        raise ConfigError("scenario", str(exc))
-    return cfg
+    return ExperimentConfig(
+        scenario=sc, sweep=sweep, montecarlo=mc, output=out,
+        base_system=system, geometry=geometry, profile=profile,
+    )
 
 
 def _read_raw_config(path: str | None) -> dict:

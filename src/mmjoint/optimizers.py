@@ -1,15 +1,20 @@
 """Optimal power allocation: closed-form max-min fairness for the multicast
-groups, water-filling for the weighted-sum unicast spectral efficiency, the
-Pareto-boundary sweep that couples them through the shared power budget, a
+groups, exact water-filling for the weighted-sum unicast spectral efficiency,
+the Pareto-boundary sweep that couples them through the shared power budget, a
 convexity check of the swept boundary, and a brute-force grid oracle used to
 validate the closed forms on tiny instances.
+
+The solvers evaluate a whole array of power splits per call; ``solve_mmf`` and
+``solve_wsse`` are its one-split case and ``pareto_sweep`` its full grid.  The
+solutions from one call share their split-independent lists (pilot powers,
+upsilon, x_star, vartheta_star).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +25,6 @@ from .closed_form import (
 from .scenario import LargeScaleProfile, SystemConfig
 
 LN2 = math.log(2.0)
-
-# bisection controls for the water-filling level
-_WF_MAX_ITER = 200
-_WF_RTOL = 1e-12
-
-
-class WaterFillingError(RuntimeError):
-    """Bisection for the water level failed to converge."""
 
 
 class OracleInstanceTooLarge(ValueError):
@@ -79,6 +76,40 @@ class ConvexityReport:
     dominance_violation: float
 
 
+def _mmf_solutions(
+    config: SystemConfig, profile: LargeScaleProfile, p_un: np.ndarray
+) -> list[MmfSolution]:
+    """Max-min-fair solutions for every unicast power in ``p_un``."""
+    P = config.total_dl_power
+    N = config.n_antennas
+    tau = config.n_pilots
+
+    eta = [np.asarray(g, dtype=float) for g in profile.eta]
+    budgets = [np.asarray(g, dtype=float) for g in config.multicast_energy_budgets]
+    upsilon = np.array([np.min(e_g * eta_g**2 / (1.0 + eta_g * P))
+                        for eta_g, e_g in zip(eta, budgets)])
+    x_star = [(1.0 + eta_g * P) / eta_g**2 * ups
+              for eta_g, ups in zip(eta, upsilon)]
+    denom = (P * config.n_multicast + np.sum(1.0 / upsilon)
+             + sum(np.sum(1.0 / e_g) for e_g in eta))
+    gain = np.array([1.0 + np.sum(x * e_g) for x, e_g in zip(x_star, eta)])
+    q_per_sinr = gain / (N * upsilon)  # group downlink power per unit SINR
+
+    common_sinr = N * (P - p_un) / denom
+    objective = config.prelog(tau) * np.log2(1.0 + common_sinr)
+    q_dl = np.outer(common_sinr, q_per_sinr)
+
+    q_up = [(x / tau).tolist() for x in x_star]
+    upsilon = upsilon.tolist()
+    x_star = [x.tolist() for x in x_star]
+    return [
+        MmfSolution(objective=obj, common_sinr=sinr, q_dl=q, q_up=q_up,
+                    tau=tau, upsilon=upsilon, x_star=x_star)
+        for obj, sinr, q in zip(objective.tolist(), common_sinr.tolist(),
+                                q_dl.tolist())
+    ]
+
+
 def solve_mmf(
     config: SystemConfig, profile: LargeScaleProfile, p_un: float
 ) -> MmfSolution:
@@ -89,100 +120,57 @@ def solve_mmf(
     common value Gamma = N*P_mu / (P*sum(K_j) + sum(1/Upsilon_j)
     + sum_jk 1/eta_jk) with P_mu = P - p_un.
     """
-    P = config.total_dl_power
-    if not 0.0 <= p_un <= P:
+    if not 0.0 <= p_un <= config.total_dl_power:
         raise ValueError("p_un must lie in [0, total_dl_power]")
+    return _mmf_solutions(config, profile, np.array([p_un], dtype=float))[0]
+
+
+def _wsse_solutions(
+    config: SystemConfig, profile: LargeScaleProfile, p_mu: np.ndarray
+) -> list[WsseSolution]:
+    """Weighted-sum-SE solutions for every multicast power in ``p_mu``.
+
+    User i gets max(0, alpha_i/(nu ln2) - f_i) over its floor f_i.  Sorted by
+    decreasing alpha/f, the k-th user turns on when the unicast power reaches
+    A_{k-1} f_k/alpha_k - F_{k-1} (A, F cumulative sums of alpha and f), so the
+    active count k for a power t is one searchsorted and the water level is
+    exactly nu = A_k / (ln2 (t + F_k)) (Palomar & Fonollosa, IEEE TSP 2005).
+    """
+    P = config.total_dl_power
     tau = config.n_pilots
-    p_mu = P - p_un
 
-    eta = [np.asarray(g, dtype=float) for g in profile.eta]
-    budgets = [np.asarray(g, dtype=float) for g in config.multicast_energy_budgets]
+    energy = np.asarray(config.unicast_energy_budgets, dtype=float)
+    beta = np.asarray(profile.beta, dtype=float)
+    alpha = np.asarray(config.unicast_weights, dtype=float)
+    vartheta = energy * beta**2 / (1.0 + energy * beta)
+    floors = (1.0 + beta * P) / (config.n_antennas * vartheta)
 
-    upsilon = [float(np.min(e_g * eta_g**2 / (1.0 + eta_g * P)))
-               for eta_g, e_g in zip(eta, budgets)]
-    x_star = [
-        (1.0 + eta_g * P) / eta_g**2 * ups
-        for eta_g, ups in zip(eta, upsilon)
+    order = np.argsort(-alpha / floors, kind="stable")
+    a_cum = np.concatenate(([0.0], np.cumsum(alpha[order])))
+    f_cum = np.concatenate(([0.0], np.cumsum(floors[order])))
+    # roundoff may put tied breakpoints an ulp out of order; the water level
+    # is continuous at a breakpoint, so either active count is then right
+    entry = a_cum[:-1] * floors[order] / alpha[order] - f_cum[:-1]
+
+    target = P - p_mu
+    k = np.searchsorted(entry, target)  # users whose breakpoint lies below
+    nu = np.full(target.shape, np.inf)  # no unicast power: nobody is active
+    on = k > 0
+    nu[on] = a_cum[k[on]] / (LN2 * (target[on] + f_cum[k[on]]))
+    p_dl = np.maximum(0.0, alpha / (nu[:, None] * LN2) - floors)
+
+    sinr = config.n_antennas * p_dl * vartheta / (1.0 + beta * P)
+    objective = config.prelog(tau) * np.sum(alpha * np.log2(1.0 + sinr), axis=1)
+
+    p_up = (energy / tau).tolist()
+    vartheta = vartheta.tolist()
+    return [
+        WsseSolution(objective=obj, p_dl=p, p_up=p_up, tau=tau,
+                     water_level_nu=level if active else None,
+                     vartheta_star=vartheta)
+        for obj, p, level, active in zip(objective.tolist(), p_dl.tolist(),
+                                         nu.tolist(), on.tolist())
     ]
-    q_up = [x / tau for x in x_star]
-
-    denom = (
-        P * sum(config.group_sizes)
-        + sum(1.0 / u for u in upsilon)
-        + sum(float(np.sum(1.0 / e_g)) for e_g in eta)
-    )
-    common_sinr = config.n_antennas * p_mu / denom
-
-    q_dl = [
-        common_sinr / (config.n_antennas * ups) * (1.0 + float(np.sum(x * e_g)))
-        for ups, x, e_g in zip(upsilon, x_star, eta)
-    ]
-
-    objective = config.prelog(tau) * math.log2(1.0 + common_sinr)
-    return MmfSolution(
-        objective=objective,
-        common_sinr=common_sinr,
-        q_dl=q_dl,
-        q_up=[list(q) for q in q_up],
-        tau=tau,
-        upsilon=upsilon,
-        x_star=[list(x) for x in x_star],
-    )
-
-
-def _waterfill_powers(nu: float, alpha: np.ndarray, floors: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, alpha / (nu * LN2) - floors)
-
-
-def _solve_water_level(
-    alpha: np.ndarray, floors: np.ndarray, target: float
-) -> tuple[float, np.ndarray]:
-    """Find nu with sum(max(0, alpha/(nu ln2) - floors)) == target, target > 0."""
-    # bracket: at nu_lo the best user alone already reaches the target power,
-    # at nu_hi every user is inactive
-    nu_lo = float(np.max(alpha / (LN2 * (target + floors))))
-    nu_hi = float(np.max(alpha / (LN2 * floors)))
-    for _ in range(64):
-        if np.sum(_waterfill_powers(nu_lo, alpha, floors)) >= target:
-            break
-        nu_lo /= 2.0
-    lo, hi = nu_lo, nu_hi
-    nu = lo
-    for _ in range(_WF_MAX_ITER):
-        nu = 0.5 * (lo + hi)
-        total = float(np.sum(_waterfill_powers(nu, alpha, floors)))
-        if abs(total - target) <= _WF_RTOL * target:
-            break
-        if total > target:
-            lo = nu
-        else:
-            hi = nu
-
-    # pin the active set from the bisected level, then solve that set exactly
-    # so the power constraint holds to machine precision
-    active = _waterfill_powers(nu, alpha, floors) > 0.0
-    if not np.any(active):
-        active = alpha / (LN2 * floors) >= nu
-    for _ in range(alpha.size + 1):
-        nu_exact = float(np.sum(alpha[active])) / (
-            LN2 * (target + float(np.sum(floors[active])))
-        )
-        p = _waterfill_powers(nu_exact, alpha, floors)
-        new_active = p > 0.0
-        if np.array_equal(new_active, active):
-            nu = nu_exact
-            break
-        active = new_active
-    else:
-        raise WaterFillingError("active-set refinement did not stabilize")
-
-    p = _waterfill_powers(nu, alpha, floors)
-    total = float(np.sum(p))
-    if abs(total - target) > 1e-10 * target:
-        raise WaterFillingError(
-            f"water level search left a power mismatch of {total - target!r}"
-        )
-    return nu, p
 
 
 def solve_wsse(
@@ -193,41 +181,9 @@ def solve_wsse(
     tau = U + G, every user spends its full pilot energy budget, and the
     downlink powers water-fill against per-user floors (1 + beta*P)/(N*theta).
     """
-    P = config.total_dl_power
-    if not 0.0 <= p_mu <= P:
+    if not 0.0 <= p_mu <= config.total_dl_power:
         raise ValueError("p_mu must lie in [0, total_dl_power]")
-    tau = config.n_pilots
-    target = P - p_mu
-
-    energy = np.asarray(config.unicast_energy_budgets, dtype=float)
-    beta = np.asarray(profile.beta, dtype=float)
-    alpha = np.asarray(config.unicast_weights, dtype=float)
-    p_up = energy / tau
-    vartheta = energy * beta**2 / (1.0 + energy * beta)
-
-    if target == 0.0:
-        return WsseSolution(
-            objective=0.0,
-            p_dl=[0.0] * config.n_unicast,
-            p_up=list(p_up),
-            tau=tau,
-            water_level_nu=None,
-            vartheta_star=list(vartheta),
-        )
-
-    floors = (1.0 + beta * P) / (config.n_antennas * vartheta)
-    nu, p_dl = _solve_water_level(alpha, floors, target)
-
-    sinr = config.n_antennas * p_dl * vartheta / (1.0 + beta * P)
-    objective = config.prelog(tau) * float(np.sum(alpha * np.log2(1.0 + sinr)))
-    return WsseSolution(
-        objective=objective,
-        p_dl=list(p_dl),
-        p_up=list(p_up),
-        tau=tau,
-        water_level_nu=nu,
-        vartheta_star=list(vartheta),
-    )
+    return _wsse_solutions(config, profile, np.array([p_mu], dtype=float))[0]
 
 
 def pareto_sweep(
@@ -237,23 +193,15 @@ def pareto_sweep(
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     P = config.total_dl_power
-    points = []
-    for frac in np.linspace(0.0, 1.0, n_points):
-        p_un = float(frac) * P
-        p_mu = P - p_un
-        mmf = solve_mmf(config, profile, p_un)
-        wsse = solve_wsse(config, profile, p_mu)
-        points.append(
-            ParetoPoint(
-                p_un=p_un,
-                p_mu=p_mu,
-                o_mu=mmf.objective,
-                o_un=wsse.objective,
-                mmf=mmf,
-                wsse=wsse,
-            )
-        )
-    return points
+    p_un = np.linspace(0.0, 1.0, n_points) * P
+    p_mu = P - p_un
+    mmf = _mmf_solutions(config, profile, p_un)
+    wsse = _wsse_solutions(config, profile, p_mu)
+    return [
+        ParetoPoint(p_un=a, p_mu=b, o_mu=m.objective, o_un=w.objective,
+                    mmf=m, wsse=w)
+        for a, b, m, w in zip(p_un.tolist(), p_mu.tolist(), mmf, wsse)
+    ]
 
 
 def check_convexity(
@@ -282,21 +230,21 @@ def check_convexity(
     slopes = np.diff(y) / dx
     slope_violation = float(max(0.0, np.max(np.diff(slopes), initial=0.0)))
 
+    # one row of pairs (i, j > i) at a time keeps the temporaries O(n)
     dominance_violation = 0.0
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mid_x = 0.5 * (x[i] + x[j])
-            mid_y = 0.5 * (y[i] + y[j])
-            boundary_y = float(np.interp(mid_x, x, y))
-            dominance_violation = max(dominance_violation, mid_y - boundary_y)
+    for i in range(len(points) - 1):
+        mid_x = 0.5 * (x[i] + x[i + 1:])
+        mid_y = 0.5 * (y[i] + y[i + 1:])
+        dominance_violation = max(
+            dominance_violation, float(np.max(mid_y - np.interp(mid_x, x, y)))
+        )
 
-    max_violation = float(max(slope_violation, dominance_violation))
+    max_violation = max(slope_violation, dominance_violation)
     return ConvexityReport(
         is_consistent=bool(max_violation <= tol),
         max_violation=max_violation,
-        slope_violation=float(slope_violation),
-        dominance_violation=float(dominance_violation),
+        slope_violation=slope_violation,
+        dominance_violation=dominance_violation,
     )
 
 

@@ -10,7 +10,7 @@ normalizes to E = Ebar / sigma2 and a tau-symbol pilot satisfies tau * q <= E.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,30 +75,33 @@ class SystemConfig:
             raise ValueError("group_sizes entries must be positive")
         if self.coherence_symbols < 1:
             raise ValueError("coherence_symbols must be a positive integer")
-        if self.total_dl_power < 0:
-            raise ValueError("total_dl_power must be nonnegative")
+        if not 0 <= self.total_dl_power < math.inf:
+            raise ValueError("total_dl_power must be finite and nonnegative")
 
         self.unicast_energy_budgets = [float(e) for e in self.unicast_energy_budgets]
         if len(self.unicast_energy_budgets) != self.n_unicast:
             raise ValueError("unicast_energy_budgets must have length n_unicast")
-        if any(e <= 0 for e in self.unicast_energy_budgets):
-            raise ValueError("unicast_energy_budgets must be strictly positive")
+        if not all(0 < e < math.inf for e in self.unicast_energy_budgets):
+            raise ValueError("unicast_energy_budgets must be finite and strictly "
+                             "positive")
 
         self.multicast_energy_budgets = [
             [float(e) for e in grp] for grp in self.multicast_energy_budgets
         ]
         if [len(g) for g in self.multicast_energy_budgets] != self.group_sizes:
             raise ValueError("multicast_energy_budgets must match group_sizes")
-        if any(e <= 0 for g in self.multicast_energy_budgets for e in g):
-            raise ValueError("multicast_energy_budgets must be strictly positive")
+        if not all(0 < e < math.inf for g in self.multicast_energy_budgets
+                   for e in g):
+            raise ValueError("multicast_energy_budgets must be finite and "
+                             "strictly positive")
 
         if self.unicast_weights is None:
             self.unicast_weights = [1.0] * self.n_unicast
         self.unicast_weights = [float(w) for w in self.unicast_weights]
         if len(self.unicast_weights) != self.n_unicast:
             raise ValueError("unicast_weights must have length n_unicast")
-        if any(w <= 0 for w in self.unicast_weights):
-            raise ValueError("unicast_weights must be strictly positive")
+        if not all(0 < w < math.inf for w in self.unicast_weights):
+            raise ValueError("unicast_weights must be finite and strictly positive")
 
         if self.pilot_length is None:
             self.pilot_length = self.n_pilots

@@ -76,6 +76,28 @@ class TestConfigLoading:
         cfg = load_config(raw)
         assert cfg.geometry.unicast_distances == [100.0, 200.0]
 
+    @pytest.mark.parametrize("key, value", [
+        ("unicast_weights", [1.0, -1.0]),
+        ("total_dl_power", float("nan")),
+        ("total_dl_power", float("inf")),
+        ("unicast_energy_budgets", float("inf")),
+    ])
+    def test_invalid_value_on_seed_path_is_config_error(
+            self, tmp_path, capsys, key, value):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        del raw["scenario"]["physical"]
+        raw["scenario"].update(total_dl_power=5.0, unicast_energy_budgets=10.0,
+                               multicast_energy_budgets=10.0)
+        raw["scenario"][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))  # writes NaN / Infinity literals
+        code = main(["mmf", "--config", str(path), "--out",
+                     str(tmp_path / "run")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert key in err["message"]
+
     def test_normalized_default_power(self):
         cfg = load_config_file(None)
         assert cfg.total_dl_power == pytest.approx(1.256e14, rel=1e-3)

@@ -215,6 +215,36 @@ class TestSolveWsse:
         assert sol.objective == 0.0
         assert all(p == 0.0 for p in sol.p_dl)
 
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_unicast_power_on_breakpoints(self, ulps):
+        # users 1 and 2 share beta and weight, so they turn on together
+        P = 8.0
+        config = make_system(n_unicast=5, total_dl_power=P,
+                             weights=[1.0, 1.0, 1.0, 1.5, 0.7])
+        profile = LargeScaleProfile(beta=[1.5, 0.9, 0.9, 0.4, 0.2],
+                                    eta=[[0.5, 0.5]])
+        alpha = np.asarray(config.unicast_weights)
+        beta = np.asarray(profile.beta)
+        energy = np.asarray(config.unicast_energy_budgets)
+        theta = energy * beta**2 / (1.0 + energy * beta)
+        floors = (1.0 + beta * P) / (config.n_antennas * theta)
+        # unicast power at the water level where user k turns on
+        breakpoints = np.maximum(
+            0.0, np.outer(floors / alpha, alpha) - floors).sum(axis=1)
+        assert breakpoints[1] == breakpoints[2]
+        # the zero breakpoint of the strongest user is the p_mu = P case
+        for b in sorted(set(breakpoints[breakpoints > 0.0])):
+            p_mu = float(np.nextafter(P - b, ulps * np.inf)) if ulps else P - b
+            sol = solve_wsse(config, profile, p_mu)
+            target = P - p_mu
+            assert sum(sol.p_dl) == pytest.approx(target, rel=1e-10)
+            nu = sol.water_level_nu
+            p = np.asarray(sol.p_dl)
+            marginal = alpha / (LN2 * (floors + p))
+            active = p > 0.0
+            assert np.all(np.abs(marginal[active] - nu) <= 1e-8 * nu)
+            assert np.all(marginal[~active] <= nu * (1 + 1e-12))
+
 
 class TestParetoSweep:
     def test_point_count_and_split(self, small_system, small_profile):
@@ -239,6 +269,14 @@ class TestParetoSweep:
     def test_too_few_points(self, small_system, small_profile):
         with pytest.raises(ValueError):
             pareto_sweep(small_system, small_profile, n_points=1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_points_equal_single_solves(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        config, profile = random_scenario(rng, u_max=8, g_max=3, k_max=4)
+        for pt in pareto_sweep(config, profile, n_points=31):
+            assert pt.mmf == solve_mmf(config, profile, pt.p_un)
+            assert pt.wsse == solve_wsse(config, profile, pt.p_mu)
 
 
 def fake_point(p_un, o_mu, o_un):
