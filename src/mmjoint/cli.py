@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .closed_form import InfeasibleAllocationError, PowerAllocation
-from .montecarlo import empirical_sinr
+from .montecarlo import MIN_REALIZATIONS, empirical_sinr
 from .optimizers import (
     brute_force_oracle,
     check_convexity,
@@ -108,6 +108,23 @@ def _require(block: dict, name: str, key: str):
     return block[key]
 
 
+def _check_montecarlo(mc: dict):
+    """Reject values that would otherwise be truncated, ignored or refused
+    only as an infeasible allocation."""
+    for key, low in (("n_realizations", MIN_REALIZATIONS), ("seed", 0),
+                     ("n_workers", 1)):
+        value = mc.get(key, low)
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < low:
+            raise ConfigError(f"montecarlo.{key}",
+                              f"must be an integer >= {low}")
+    frac = mc.get("unicast_power_fraction", 0.5)
+    if isinstance(frac, bool) or not isinstance(frac, (int, float)) \
+            or not 0.0 <= frac <= 1.0:
+        raise ConfigError("montecarlo.unicast_power_fraction",
+                          "must be a finite number in [0, 1]")
+
+
 @dataclass
 class ExperimentConfig:
     """Fully validated and resolved experiment configuration."""
@@ -133,8 +150,9 @@ class ExperimentConfig:
         return self.base_system.multicast_energy_budgets
 
     def system(self, n_antennas: int | None = None) -> SystemConfig:
-        return replace(self.base_system,
-                       n_antennas=n_antennas or self.base_system.n_antennas)
+        if n_antennas is None:
+            n_antennas = self.base_system.n_antennas
+        return replace(self.base_system, n_antennas=n_antennas)
 
     def provenance(self) -> dict:
         """Resolved config echoed into every output file.
@@ -182,6 +200,7 @@ def load_config(raw: dict) -> ExperimentConfig:
     _check_keys(sweep, "sweep")
     mc = dict(raw.get("montecarlo", DEFAULT_CONFIG["montecarlo"]))
     _check_keys(mc, "montecarlo")
+    _check_montecarlo(mc)
     out = dict(raw.get("output", DEFAULT_CONFIG["output"]))
     _check_keys(out, "output")
 
@@ -206,7 +225,10 @@ def load_config(raw: dict) -> ExperimentConfig:
         _check_keys(sc["physical"], "physical")
         for key in _SCHEMA["physical"]:
             _require(sc["physical"], "physical", key)
-        phys = PhysicalUnits(**sc["physical"])
+        try:
+            phys = PhysicalUnits(**sc["physical"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("physical", str(exc))
         total_power, energy = normalize_units(phys)
         uni_budgets = [energy] * n_unicast
         multi_budgets = [[energy] * k for k in sc["group_sizes"]]
@@ -254,9 +276,16 @@ def load_config(raw: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("scenario.unicast_distances", str(exc))
     elif "seed" in sc:
-        geometry = place_users(
-            system, sc["cell_radius_m"], sc["exclusion_radius_m"], sc["seed"]
-        )
+        if not sc["exclusion_radius_m"] < sc["cell_radius_m"]:
+            raise ConfigError("scenario.exclusion_radius_m",
+                              "must be smaller than scenario.cell_radius_m")
+        try:
+            geometry = place_users(
+                system, sc["cell_radius_m"], sc["exclusion_radius_m"],
+                sc["seed"],
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("scenario.seed", str(exc))
     else:
         raise ConfigError(
             "scenario.seed", "either a seed or explicit distances are required"
@@ -552,6 +581,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.n is not None and args.n < 1:
+            raise ConfigError("--n", "antenna count must be a positive "
+                              "integer")
         raw = _read_raw_config(args.config)
         if args.seed is not None:
             raw.setdefault("scenario", {})["seed"] = args.seed

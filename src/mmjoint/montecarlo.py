@@ -8,6 +8,15 @@ Reproducibility contract: realization ``i`` of a run with master seed ``s``
 uses the RNG substream ``SeedSequence(s, spawn_key=(i,))``, and averages are
 reduced in fixed chunk order, so sequential and parallel runs are
 bit-identical.
+
+Draw layout of one realization: from its substream, first one block of
+``2 N (U + sum K_g)`` standard normals for the channels, then one block of
+``2 N (U + G)`` for the pilot noise.  Each block is read row by row, one row
+per user (unicast users first, then the members of each group in order) or,
+for the noise, per pilot (the U unicast pilots, then the G group pilots);
+within a row the real and imaginary parts of the N antennas alternate.
+This layout replaced a per-group draw order, so reports at a given seed
+differ from those of earlier versions.
 """
 
 from __future__ import annotations
@@ -21,40 +30,80 @@ from .closed_form import EstimationStats, PowerAllocation, pilot_scaling
 from .scenario import LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
+MIN_REALIZATIONS = 100
+
+
+def _group_starts(group_sizes) -> np.ndarray:
+    sizes = np.asarray(group_sizes)
+    return np.cumsum(sizes) - sizes
 
 
 @dataclass
 class ChannelRealization:
-    """One draw of every user's channel vector."""
+    """One draw of every user's channel vector.
 
-    f: np.ndarray  # (U, N) complex
-    g: list  # per group: (K_g, N) complex
+    ``h`` stacks the U unicast rows and then each group's K_g rows; ``f`` and
+    ``g`` are views of it.
+    """
+
+    h: np.ndarray  # (U + sum K_g, N) complex
+    n_unicast: int
+    group_sizes: list
+
+    @property
+    def f(self) -> np.ndarray:
+        """Unicast channels, (U, N)."""
+        return self.h[: self.n_unicast]
+
+    @property
+    def g(self) -> list:
+        """Per group, the (K_g, N) member channels."""
+        return np.split(self.h[self.n_unicast:],
+                        _group_starts(self.group_sizes)[1:])
 
 
 @dataclass
 class ChannelEstimates:
+    """MMSE estimates of the unicast channels and the group composites.
+
+    The per-member estimates are formed only when ``g_hat_user`` is read,
+    from the composites and the pilot inputs kept here.
+    """
+
     f_hat: np.ndarray  # (U, N)
     g_hat_composite: np.ndarray  # (G, N)
-    g_hat_user: list  # per group: (K_g, N)
+    tau: int
+    q_up: list  # per group: uplink pilot powers
+    eta: list  # per group: large-scale fading
+
+    @property
+    def g_hat_user(self) -> list:
+        """Per group, the (K_g, N) member estimates c_k times the composite,
+        with c from ``pilot_scaling``."""
+        return [pilot_scaling(self.tau, q, eta)[:, None] * composite[None, :]
+                for q, eta, composite
+                in zip(self.q_up, self.eta, self.g_hat_composite)]
 
 
-def _crandn(rng: np.random.Generator, *shape) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussian samples."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _crandn(rng: np.random.Generator, std: np.ndarray, n: int) -> np.ndarray:
+    """Rows of circularly-symmetric complex Gaussians, row r CN(0, std_r^2 I).
+
+    One ``standard_normal`` call fills all rows, real and imaginary parts
+    interleaved.
+    """
+    x = rng.standard_normal((len(std), 2 * n))
+    x *= np.sqrt(0.5) * std[:, None]
+    return x.view(np.complex128)
 
 
 def draw_channels(
     profile: LargeScaleProfile, config: SystemConfig, rng: np.random.Generator
 ) -> ChannelRealization:
     """i.i.d. Rayleigh channels with per-antenna variances beta / eta."""
-    N = config.n_antennas
-    beta = np.asarray(profile.beta)
-    f = _crandn(rng, config.n_unicast, N) * np.sqrt(beta)[:, None]
-    g = []
-    for eta_grp in profile.eta:
-        eta = np.asarray(eta_grp)
-        g.append(_crandn(rng, len(eta_grp), N) * np.sqrt(eta)[:, None])
-    return ChannelRealization(f=f, g=g)
+    variances = np.concatenate([profile.beta, *profile.eta])
+    h = _crandn(rng, np.sqrt(variances), config.n_antennas)
+    return ChannelRealization(h=h, n_unicast=config.n_unicast,
+                              group_sizes=config.group_sizes)
 
 
 def estimate_channels(
@@ -71,31 +120,39 @@ def estimate_channels(
     the composite estimate.
     """
     tau = alloc.tau
-    N = realization.f.shape[1]
+    U, N = realization.f.shape
+    starts = _group_starts(realization.group_sizes)
 
     # unicast: y_u = sqrt(tau p_u) f_u + n_u, scaled by sqrt(tau p)b/(1+tau p b)
     p_up = np.asarray(alloc.p_up)
     beta = np.asarray(profile.beta)
-    noise_u = _crandn(rng, len(beta), N)
-    scale = np.sqrt(tau * p_up) * beta / (1.0 + tau * p_up * beta)
-    f_hat = scale[:, None] * (np.sqrt(tau * p_up)[:, None] * realization.f + noise_u)
+    root_p = np.sqrt(tau * p_up)
+    scale_u = root_p * beta / (1.0 + tau * p_up * beta)
+    # group j: y_j = sum_k sqrt(tau q_k) g_k + n_j, scaled by s_j/(1+s_j)
+    q_up = np.concatenate(alloc.q_up)
+    eta = np.concatenate(profile.eta)
+    root_q = np.sqrt(tau * q_up)
+    s = np.add.reduceat(tau * q_up * eta, starts)
+    scale_g = s / (1.0 + s)
 
-    g_hat_composite = np.zeros((len(realization.g), N), dtype=complex)
-    g_hat_user = []
-    for j, (g_grp, q_grp, eta_grp) in enumerate(
-        zip(realization.g, alloc.q_up, profile.eta)
-    ):
-        q = np.asarray(q_grp)
-        eta = np.asarray(eta_grp)
-        noise_g = _crandn(rng, N)
-        observation = np.sqrt(tau * q) @ g_grp + noise_g
-        s = float(np.sum(tau * q * eta))
-        g_hat_composite[j] = s / (1.0 + s) * observation
-        c = pilot_scaling(tau, q, eta)
-        g_hat_user.append(c[:, None] * g_hat_composite[j][None, :])
-    return ChannelEstimates(
-        f_hat=f_hat, g_hat_composite=g_hat_composite, g_hat_user=g_hat_user
-    )
+    # the scaled pilot noise, to which the scaled pilot signal is added
+    estimates = _crandn(rng, np.concatenate([scale_u, scale_g]), N)
+    est = estimates.view(np.float64)
+    est[:U] += (scale_u * root_p)[:, None] * realization.f.view(np.float64)
+    weighted = root_q[:, None] * realization.h[U:].view(np.float64)
+    est[U:] += scale_g[:, None] * np.add.reduceat(weighted, starts, axis=0)
+    return ChannelEstimates(f_hat=estimates[:U],
+                            g_hat_composite=estimates[U:], tau=tau,
+                            q_up=alloc.q_up, eta=profile.eta)
+
+
+def _mrt_gains(power, variance, n_antennas: int) -> np.ndarray:
+    """sqrt(p / (N var)) per precoder, 0 where p or var is 0."""
+    p = np.asarray(power, dtype=float)
+    var = np.asarray(variance, dtype=float)
+    on = (p > 0.0) & (var > 0.0)
+    return np.sqrt(np.divide(p, n_antennas * var, out=np.zeros_like(p),
+                             where=on))
 
 
 def mrt_precoders(
@@ -108,15 +165,10 @@ def mrt_precoders(
     power or zero estimate variance gives a zero vector.
     """
     N = estimates.f_hat.shape[1]
-    V = np.zeros((N, len(alloc.p_dl)), dtype=complex)
-    for m, (p, var) in enumerate(zip(alloc.p_dl, stats.vartheta)):
-        if p > 0.0 and var > 0.0:
-            V[:, m] = np.sqrt(p / (N * var)) * estimates.f_hat[m]
-    W = np.zeros((N, len(alloc.q_dl)), dtype=complex)
-    for j, (q, var) in enumerate(zip(alloc.q_dl, stats.gamma)):
-        if q > 0.0 and var > 0.0:
-            W[:, j] = np.sqrt(q / (N * var)) * estimates.g_hat_composite[j]
-    return V, W
+    V = _mrt_gains(alloc.p_dl, stats.vartheta, N)[:, None] * estimates.f_hat
+    W = _mrt_gains(alloc.q_dl, stats.gamma, N)[:, None] \
+        * estimates.g_hat_composite
+    return V.T, W.T
 
 
 @dataclass
@@ -174,41 +226,31 @@ class MonteCarloReport:
 
 
 class _Accumulator:
-    """Running sums of every per-realization term, merged in fixed order."""
+    """Running sums of every per-realization term, merged in fixed order.
 
-    def __init__(self, n_un: int, n_mu: int, n_cols: int):
+    Rows are users (unicast first, then every group's members); columns are
+    the U + G precoders.
+    """
+
+    def __init__(self, n_users: int, n_cols: int):
         self.n = 0
         # effective desired-channel coefficients (complex scalars per user)
-        self.sum_a = np.zeros(n_un, dtype=complex)
-        self.sum_re2_a = np.zeros(n_un)
-        self.sum_abs2_a = np.zeros(n_un)
-        self.sum_abs4_a = np.zeros(n_un)
+        self.sum_c = np.zeros(n_users, dtype=complex)
+        self.sum_re2_c = np.zeros(n_users)
+        self.sum_abs2_c = np.zeros(n_users)
+        self.sum_abs4_c = np.zeros(n_users)
         # received powers from each of the U+G precoders
-        self.sum_cross_un = np.zeros((n_un, n_cols))
-        self.sum_cross_un_sq = np.zeros((n_un, n_cols))
-        self.sum_b = np.zeros(n_mu, dtype=complex)
-        self.sum_re2_b = np.zeros(n_mu)
-        self.sum_abs2_b = np.zeros(n_mu)
-        self.sum_abs4_b = np.zeros(n_mu)
-        self.sum_cross_mu = np.zeros((n_mu, n_cols))
-        self.sum_cross_mu_sq = np.zeros((n_mu, n_cols))
+        self.sum_cross = np.zeros((n_users, n_cols))
+        self.sum_cross_sq = np.zeros((n_users, n_cols))
 
-    def add(self, a, cross_un, b, cross_mu):
+    def add(self, c, abs2, cross):
         self.n += 1
-        self.sum_a += a
-        self.sum_re2_a += a.real**2
-        abs2 = np.abs(a) ** 2
-        self.sum_abs2_a += abs2
-        self.sum_abs4_a += abs2**2
-        self.sum_cross_un += cross_un
-        self.sum_cross_un_sq += cross_un**2
-        self.sum_b += b
-        self.sum_re2_b += b.real**2
-        abs2b = np.abs(b) ** 2
-        self.sum_abs2_b += abs2b
-        self.sum_abs4_b += abs2b**2
-        self.sum_cross_mu += cross_mu
-        self.sum_cross_mu_sq += cross_mu**2
+        self.sum_c += c
+        self.sum_re2_c += c.real**2
+        self.sum_abs2_c += abs2
+        self.sum_abs4_c += abs2**2
+        self.sum_cross += cross
+        self.sum_cross_sq += cross**2
 
     def merge(self, other: "_Accumulator"):
         self.n += other.n
@@ -220,24 +262,24 @@ class _Accumulator:
 
 def _run_chunk(config, profile, alloc, stats, seed, indices):
     U = config.n_unicast
-    n_mu = config.n_multicast
-    acc = _Accumulator(U, n_mu, U + config.n_groups)
+    users = np.arange(U + config.n_multicast)
+    # each user's own precoder column: m for unicast user m, U + j for the
+    # members of group j
+    own_col = np.concatenate([
+        np.arange(U),
+        U + np.repeat(np.arange(config.n_groups), config.group_sizes),
+    ])
+    acc = _Accumulator(len(users), U + config.n_groups)
     for i in indices:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         real = draw_channels(profile, config, rng)
         est = estimate_channels(real, alloc, profile, rng)
         V, W = mrt_precoders(est, alloc, stats)
-        VW = np.hstack([V, W])
-        rx_un = real.f.conj() @ VW  # (U, U+G): entry [m, u] = f_m^H vw_u
-        a = rx_un[np.arange(U), np.arange(U)]
-        g_all = np.vstack(real.g)  # (sum K_g, N)
-        rx_mu = g_all.conj() @ VW
-        # each multicast user's own column is its group precoder
-        own_col = np.concatenate(
-            [np.full(k, U + j) for j, k in enumerate(config.group_sizes)]
-        )
-        b = rx_mu[np.arange(n_mu), own_col]
-        acc.add(a, np.abs(rx_un) ** 2, b, np.abs(rx_mu) ** 2)
+        # entry [m, u] is conj(h_m^H vw_u): conjugating the small precoder
+        # matrix instead of the channels keeps the same powers
+        rx = real.h @ np.hstack([V, W]).conj()
+        power = rx.real**2 + rx.imag**2
+        acc.add(rx[users, own_col].conj(), power[users, own_col], power)
     return acc
 
 
@@ -303,12 +345,12 @@ def _breakdowns(config, profile, alloc, stats, acc):
             one(
                 "unicast",
                 (m,),
-                acc.sum_a[m] / n,
-                acc.sum_re2_a[m],
-                acc.sum_abs2_a[m],
-                acc.sum_abs4_a[m],
-                acc.sum_cross_un[m],
-                acc.sum_cross_un_sq[m],
+                acc.sum_c[m] / n,
+                acc.sum_re2_c[m],
+                acc.sum_abs2_c[m],
+                acc.sum_abs4_c[m],
+                acc.sum_cross[m],
+                acc.sum_cross_sq[m],
                 same_cols,
                 cross_cols,
                 N * alloc.p_dl[m] * stats.vartheta[m],
@@ -317,7 +359,7 @@ def _breakdowns(config, profile, alloc, stats, acc):
         )
 
     multicast = []
-    row = 0
+    row = U
     for j, k_g in enumerate(config.group_sizes):
         for k in range(k_g):
             same_cols = [U + g for g in range(G) if g != j]
@@ -326,12 +368,12 @@ def _breakdowns(config, profile, alloc, stats, acc):
                 one(
                     "multicast",
                     (j, k),
-                    acc.sum_b[row] / n,
-                    acc.sum_re2_b[row],
-                    acc.sum_abs2_b[row],
-                    acc.sum_abs4_b[row],
-                    acc.sum_cross_mu[row],
-                    acc.sum_cross_mu_sq[row],
+                    acc.sum_c[row] / n,
+                    acc.sum_re2_c[row],
+                    acc.sum_abs2_c[row],
+                    acc.sum_abs4_c[row],
+                    acc.sum_cross[row],
+                    acc.sum_cross_sq[row],
                     same_cols,
                     cross_cols,
                     N * alloc.q_dl[j] * stats.xi[j][k],
@@ -355,8 +397,8 @@ def empirical_sinr(
     Results are bit-identical for fixed (seed, n_realizations) regardless of
     ``n_workers``.
     """
-    if n_realizations < 100:
-        raise ValueError("n_realizations must be at least 100")
+    if n_realizations < MIN_REALIZATIONS:
+        raise ValueError(f"n_realizations must be at least {MIN_REALIZATIONS}")
     alloc.check_feasible(config)
     stats = EstimationStats.from_allocation(alloc, profile)
 

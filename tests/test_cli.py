@@ -98,6 +98,35 @@ class TestConfigLoading:
         assert err["error"] == "config"
         assert key in err["message"]
 
+    @pytest.mark.parametrize("block, key, value, field", [
+        ("montecarlo", "n_realizations", 50, "montecarlo.n_realizations"),
+        ("montecarlo", "n_realizations", "abc", "montecarlo.n_realizations"),
+        ("montecarlo", "n_realizations", 150.7, "montecarlo.n_realizations"),
+        ("montecarlo", "seed", 1.5, "montecarlo.seed"),
+        ("montecarlo", "seed", -1, "montecarlo.seed"),
+        ("montecarlo", "n_workers", 0, "montecarlo.n_workers"),
+        ("montecarlo", "n_workers", -3, "montecarlo.n_workers"),
+        ("montecarlo", "unicast_power_fraction", float("nan"),
+         "montecarlo.unicast_power_fraction"),
+        ("physical", "bandwidth_hz", -1, "physical"),
+        ("scenario", "exclusion_radius_m", 600, "scenario.exclusion_radius_m"),
+    ])
+    def test_invalid_value_exits_2_naming_field(
+            self, tmp_path, capsys, block, key, value, field):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        target = raw["scenario"]["physical"] if block == "physical" \
+            else raw[block]
+        target[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code = main(["validate", "--config", str(path), "--out",
+                     str(tmp_path / "run")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == field
+        assert key in err["field"] + err["message"]
+
     def test_normalized_default_power(self):
         cfg = load_config_file(None)
         assert cfg.total_dl_power == pytest.approx(1.256e14, rel=1e-3)
@@ -167,6 +196,17 @@ class TestSolverCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "infeasible"
         assert "P_un + P_mu <= P" in err["message"] or "p_un" in err["message"]
+
+    @pytest.mark.parametrize("n", ["0", "-4"])
+    def test_nonpositive_antenna_override_rejected(self, config_path,
+                                                   tmp_path, capsys, n):
+        code = main(["mmf", "--config", config_path, "--out",
+                     str(tmp_path / "run"), "--n", n])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "--n"
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["mmf", "--config", str(tmp_path / "nope.json"),

@@ -1,9 +1,11 @@
 import math
+import multiprocessing
+import threading
 
 import numpy as np
 import pytest
 
-from mmjoint.closed_form import EstimationStats, PowerAllocation
+from mmjoint.closed_form import EstimationStats, PowerAllocation, pilot_scaling
 from mmjoint.montecarlo import (
     draw_channels,
     empirical_sinr,
@@ -31,6 +33,96 @@ def alloc():
     # tau = U + G = 3; pilot energies inside the budget of 10
     return PowerAllocation(p_dl=[1.2, 0.8], q_dl=[3.0], p_up=[2.0, 2.0],
                            q_up=[[1.5, 2.5]], tau=3)
+
+
+@pytest.fixture
+def three_groups():
+    """Unequal groups (1, 2, 3), one zero pilot power, one zero DL power."""
+    config = make_system(n_unicast=2, n_groups=3, group_sizes=(1, 2, 3),
+                         n_antennas=16, total_dl_power=5.0, energy=10.0)
+    profile = LargeScaleProfile(beta=[0.8, 1.5],
+                                eta=[[1.0], [0.6, 2.0], [0.3, 1.1, 0.7]])
+    # tau = U + G = 5; pilot energies inside the budget of 10
+    alloc = PowerAllocation(p_dl=[1.2, 0.0], q_dl=[1.0, 1.5, 1.3],
+                            p_up=[2.0, 1.0],
+                            q_up=[[1.5], [0.5, 2.0], [1.2, 0.0, 0.8]], tau=5)
+    return config, profile, alloc
+
+
+def _loop_reference(config, profile, alloc, stats, rng):
+    """Channels, estimates and precoders with one loop per group and user,
+    reading the documented draw layout from ``rng``."""
+    N, U, tau = config.n_antennas, config.n_unicast, alloc.tau
+
+    def crandn(rows):
+        x = rng.standard_normal((rows, 2 * N))
+        return (x[:, 0::2] + 1j * x[:, 1::2]) / math.sqrt(2.0)
+
+    channels = crandn(U + config.n_multicast)
+    f = channels[:U] * np.sqrt(profile.beta)[:, None]
+    g, row = [], U
+    for eta in profile.eta:
+        g.append(channels[row:row + len(eta)] * np.sqrt(eta)[:, None])
+        row += len(eta)
+
+    noise = crandn(U + config.n_groups)
+    f_hat = np.zeros_like(f)
+    for m, (p, beta) in enumerate(zip(alloc.p_up, profile.beta)):
+        scale = math.sqrt(tau * p) * beta / (1.0 + tau * p * beta)
+        f_hat[m] = scale * (math.sqrt(tau * p) * f[m] + noise[m])
+    composite, members = [], []
+    for j, (g_grp, q, eta) in enumerate(zip(g, alloc.q_up, profile.eta)):
+        s = tau * float(np.dot(q, eta))
+        observation = np.sqrt(tau * np.asarray(q)) @ g_grp + noise[U + j]
+        composite.append(s / (1.0 + s) * observation)
+        members.append(pilot_scaling(tau, q, eta)[:, None] * composite[j])
+
+    V = np.zeros((N, U), dtype=complex)
+    for m, (p, var) in enumerate(zip(alloc.p_dl, stats.vartheta)):
+        if p > 0.0 and var > 0.0:
+            V[:, m] = math.sqrt(p / (N * var)) * f_hat[m]
+    W = np.zeros((N, config.n_groups), dtype=complex)
+    for j, (q, var) in enumerate(zip(alloc.q_dl, stats.gamma)):
+        if q > 0.0 and var > 0.0:
+            W[:, j] = math.sqrt(q / (N * var)) * composite[j]
+    return f, g, f_hat, np.array(composite), members, V, W
+
+
+class TestLoopReference:
+    def test_vectorised_path_equals_per_group_loops(self, three_groups):
+        config, profile, alloc = three_groups
+        stats = EstimationStats.from_allocation(alloc, profile)
+        for i in range(3):
+            def rng():
+                return np.random.default_rng(
+                    np.random.SeedSequence(31, spawn_key=(i,)))
+
+            f, g, f_hat, composite, members, V, W = _loop_reference(
+                config, profile, alloc, stats, rng())
+            draws = rng()
+            real = draw_channels(profile, config, draws)
+            est = estimate_channels(real, alloc, profile, draws)
+            V_vec, W_vec = mrt_precoders(est, alloc, stats)
+
+            def same(actual, desired):
+                np.testing.assert_allclose(actual, desired, rtol=1e-12,
+                                           atol=0.0)
+
+            same(real.f, f)
+            assert len(real.g) == len(g)
+            for actual, desired in zip(real.g, g):
+                same(actual, desired)
+            same(est.f_hat, f_hat)
+            same(est.g_hat_composite, composite)
+            for actual, desired in zip(est.g_hat_user, members):
+                same(actual, desired)
+            same(V_vec, V)
+            same(W_vec, W)
+            # the zero pilot power gives that member a zero estimate, and
+            # the zero downlink power a zero precoder column
+            assert np.all(est.g_hat_user[2][1] == 0.0)
+            assert np.any(est.g_hat_user[2][0] != 0.0)
+            assert np.all(V_vec[:, 1] == 0.0)
 
 
 class TestDrawChannels:
@@ -196,9 +288,15 @@ class TestEmpiricalSinr:
         for user in report.unicast + report.multicast:
             assert user.sinr_empirical == 0.0
 
-    def test_parallel_runs_are_bit_identical(self, config, profile, alloc):
-        seq = empirical_sinr(config, profile, alloc, 1500, seed=21,
-                             n_workers=1)
-        par = empirical_sinr(config, profile, alloc, 1500, seed=21,
-                             n_workers=4)
-        assert seq.to_dict() == par.to_dict()
+    def test_parallel_runs_are_bit_identical(self, config, profile, alloc,
+                                             three_groups):
+        for scenario in ((config, profile, alloc), three_groups):
+            seq = empirical_sinr(*scenario, 1500, seed=21, n_workers=1)
+            par = empirical_sinr(*scenario, 1500, seed=21, n_workers=4)
+            assert seq.to_dict() == par.to_dict()
+
+    def test_no_worker_outlives_the_call(self, config, profile, alloc):
+        threads_before = threading.active_count()
+        empirical_sinr(config, profile, alloc, 1500, seed=22, n_workers=4)
+        assert threading.active_count() == threads_before
+        assert multiprocessing.active_children() == []
