@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,6 +28,7 @@ from .optimizers import (
 )
 from .scenario import (
     CellGeometry,
+    Grouped,
     LargeScaleProfile,
     PhysicalUnits,
     SystemConfig,
@@ -60,13 +62,13 @@ DEFAULT_CONFIG = {
         "n_workers": 1,
         "unicast_power_fraction": 0.5,
     },
-    "output": {"directory": "out", "formats": ["csv", "plotdata"]},
+    "output": {"directory": "out"},
 }
 
 _SCHEMA = {
     "scenario": {
         "n_antennas", "n_unicast", "n_groups", "group_sizes",
-        "coherence_symbols", "pilot_length", "unicast_weights", "physical",
+        "coherence_symbols", "unicast_weights", "physical",
         "total_dl_power", "unicast_energy_budgets", "multicast_energy_budgets",
         "cell_radius_m", "exclusion_radius_m", "pathloss_exponent",
         "attenuation_const", "seed", "unicast_distances",
@@ -79,10 +81,12 @@ _SCHEMA = {
     "sweep": {"n_points", "antenna_counts"},
     "montecarlo": {"n_realizations", "seed", "n_workers",
                    "unicast_power_fraction"},
-    "output": {"directory", "formats"},
+    "output": {"directory"},
 }
 
 RADIAL_RATIOS = (0.25, 0.5, 0.75)
+
+_NON_FINITE = "the scenario gives a non-finite result (NaN or infinity)"
 
 
 class ConfigError(Exception):
@@ -108,21 +112,37 @@ def _require(block: dict, name: str, key: str):
     return block[key]
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_integer(value, field: str, low: int):
+    if not _is_number(value, int) or value < low:
+        raise ConfigError(field, f"must be an integer >= {low}")
+
+
 def _check_montecarlo(mc: dict):
     """Reject values that would otherwise be truncated, ignored or refused
     only as an infeasible allocation."""
     for key, low in (("n_realizations", MIN_REALIZATIONS), ("seed", 0),
                      ("n_workers", 1)):
-        value = mc.get(key, low)
-        if isinstance(value, bool) or not isinstance(value, int) \
-                or value < low:
-            raise ConfigError(f"montecarlo.{key}",
-                              f"must be an integer >= {low}")
+        _check_integer(mc.get(key, low), f"montecarlo.{key}", low)
     frac = mc.get("unicast_power_fraction", 0.5)
-    if isinstance(frac, bool) or not isinstance(frac, (int, float)) \
-            or not 0.0 <= frac <= 1.0:
+    if not _is_number(frac) or not 0.0 <= frac <= 1.0:
         raise ConfigError("montecarlo.unicast_power_fraction",
                           "must be a finite number in [0, 1]")
+
+
+def _check_sweep(sweep: dict):
+    """Reject sweeps that would otherwise fail only as infeasible."""
+    default = DEFAULT_CONFIG["sweep"]
+    _check_integer(sweep.get("n_points", default["n_points"]),
+                   "sweep.n_points", 2)
+    counts = sweep.get("antenna_counts", default["antenna_counts"])
+    if not isinstance(counts, list) or not counts \
+            or not all(_is_number(n, int) and n >= 1 for n in counts):
+        raise ConfigError("sweep.antenna_counts",
+                          "must be a nonempty list of positive integers")
 
 
 @dataclass
@@ -146,7 +166,7 @@ class ExperimentConfig:
         return self.base_system.unicast_energy_budgets
 
     @property
-    def multicast_energy_budgets(self) -> list:
+    def multicast_energy_budgets(self) -> Grouped:
         return self.base_system.multicast_energy_budgets
 
     def system(self, n_antennas: int | None = None) -> SystemConfig:
@@ -170,9 +190,8 @@ class ExperimentConfig:
             "normalized": {
                 "total_dl_power": self.total_dl_power,
                 "unicast_energy_budgets": self.unicast_energy_budgets,
-                "multicast_energy_budgets": [
-                    g for g in self.multicast_energy_budgets
-                ],
+                "multicast_energy_budgets":
+                    self.multicast_energy_budgets.tolist(),
                 "convention": "powers normalized by sigma2*W; pilot energy "
                 "by sigma2 (one symbol = 1/W seconds)",
             },
@@ -198,6 +217,7 @@ def load_config(raw: dict) -> ExperimentConfig:
     _check_keys(sc, "scenario")
     sweep = dict(raw.get("sweep", DEFAULT_CONFIG["sweep"]))
     _check_keys(sweep, "sweep")
+    _check_sweep(sweep)
     mc = dict(raw.get("montecarlo", DEFAULT_CONFIG["montecarlo"]))
     _check_keys(mc, "montecarlo")
     _check_montecarlo(mc)
@@ -212,13 +232,13 @@ def load_config(raw: dict) -> ExperimentConfig:
     sc["group_sizes"] = [int(k) for k in group_sizes]
     _require(sc, "scenario", "coherence_symbols")
     sc.setdefault("n_antennas", DEFAULT_CONFIG["scenario"]["n_antennas"])
-    sc.setdefault("cell_radius_m", DEFAULT_CONFIG["scenario"]["cell_radius_m"])
-    sc.setdefault("exclusion_radius_m",
-                  DEFAULT_CONFIG["scenario"]["exclusion_radius_m"])
-    sc.setdefault("pathloss_exponent",
-                  DEFAULT_CONFIG["scenario"]["pathloss_exponent"])
-    sc.setdefault("attenuation_const",
-                  DEFAULT_CONFIG["scenario"]["attenuation_const"])
+    # the fading model needs each of these finite and positive
+    for key in ("cell_radius_m", "exclusion_radius_m", "pathloss_exponent",
+                "attenuation_const"):
+        value = sc.setdefault(key, DEFAULT_CONFIG["scenario"][key])
+        if not _is_number(value) or not 0.0 < value < math.inf:
+            raise ConfigError(f"scenario.{key}",
+                              "must be a finite positive number")
 
     # power and pilot energy: physical block or normalized values directly
     if "physical" in sc:
@@ -240,12 +260,13 @@ def load_config(raw: dict) -> ExperimentConfig:
         )
         mb = _require(sc, "scenario", "multicast_energy_budgets")
         if isinstance(mb, (int, float)):
-            multi_budgets = [[float(mb)] * k for k in sc["group_sizes"]]
-        else:
-            multi_budgets = [
-                _as_list(g, k, "scenario.multicast_energy_budgets")
-                for g, k in zip(mb, sc["group_sizes"])
-            ]
+            mb = [mb] * len(sc["group_sizes"])
+        if not isinstance(mb, list) or len(mb) != len(sc["group_sizes"]):
+            raise ConfigError("scenario.multicast_energy_budgets",
+                              "multicast_energy_budgets must be a scalar or "
+                              "have one entry per group")
+        multi_budgets = [_as_list(g, k, "scenario.multicast_energy_budgets")
+                         for g, k in zip(mb, sc["group_sizes"])]
 
     try:
         system = SystemConfig(
@@ -258,7 +279,6 @@ def load_config(raw: dict) -> ExperimentConfig:
             unicast_energy_budgets=uni_budgets,
             multicast_energy_budgets=multi_budgets,
             unicast_weights=sc.get("unicast_weights"),
-            pilot_length=sc.get("pilot_length"),
         )
     except ValueError as exc:
         raise ConfigError("scenario", str(exc))
@@ -353,31 +373,32 @@ def emit_plotdata(
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _antenna_counts(cfg: ExperimentConfig, args) -> list[int]:
-    if args.n is not None:
-        return [args.n]
-    counts = cfg.sweep.get("antenna_counts",
-                           DEFAULT_CONFIG["sweep"]["antenna_counts"])
-    if not counts:
-        raise ConfigError("sweep.antenna_counts", "must be a nonempty list")
-    return [int(n) for n in counts]
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ConfigError("scenario", _NON_FINITE)
+    path.write_text(text + "\n")
 
 
 def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
-    n_points = args.points or cfg.sweep.get(
+    if not cfg.total_dl_power > 0.0:
+        raise ConfigError("scenario.total_dl_power",
+                          "a sweep needs a positive total downlink power")
+    n_points = args.points if args.points is not None else cfg.sweep.get(
         "n_points", DEFAULT_CONFIG["sweep"]["n_points"]
     )
-    counts = _antenna_counts(cfg, args)
+    counts = [args.n] if args.n is not None else cfg.sweep.get(
+        "antenna_counts", DEFAULT_CONFIG["sweep"]["antenna_counts"]
+    )
     points_by_n, rows, convexity = {}, [], {}
     for n in counts:
         system = cfg.system(n_antennas=n)
         points = pareto_sweep(system, cfg.profile, n_points)
         points_by_n[n] = points
-        for pt in points:
-            rows.append((n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un))
+        new_rows = [(n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un) for pt in points]
+        if not all(math.isfinite(x) for row in new_rows for x in row[1:]):
+            raise ConfigError("scenario", _NON_FINITE)
+        rows += new_rows
         report = check_convexity(points)
         convexity[str(n)] = {
             "is_consistent": report.is_consistent,
@@ -387,10 +408,11 @@ def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
         }
     rows.sort(key=lambda r: (r[0], r[1]))
     prov = cfg.provenance()
-    write_pareto_csv(out_dir / "pareto.csv", rows, prov)
-    emit_plotdata(points_by_n, out_dir / "pareto_plotdata.txt", prov)
+    # the JSON check for non-finite values runs before any file is written
     _write_json(out_dir / "convexity_report.json",
                 {"provenance": prov, "convexity": convexity})
+    write_pareto_csv(out_dir / "pareto.csv", rows, prov)
+    emit_plotdata(points_by_n, out_dir / "pareto_plotdata.txt", prov)
     return 0
 
 
@@ -420,10 +442,10 @@ def _solution_payload(cfg: ExperimentConfig, p_un: float, p_mu: float,
             "objective_bits_per_s_per_hz": sol.objective,
             "common_sinr": sol.common_sinr,
             "q_dl": sol.q_dl,
-            "q_up": sol.q_up,
+            "q_up": sol.q_up.tolist(),
             "tau": sol.tau,
             "upsilon": sol.upsilon,
-            "x_star": sol.x_star,
+            "x_star": sol.x_star.tolist(),
         }
     else:
         sol = solve_wsse(system, cfg.profile, p_mu)
@@ -584,6 +606,8 @@ def main(argv=None) -> int:
         if args.n is not None and args.n < 1:
             raise ConfigError("--n", "antenna count must be a positive "
                               "integer")
+        if args.points is not None and args.points < 2:
+            raise ConfigError("--points", "a sweep needs at least 2 points")
         raw = _read_raw_config(args.config)
         if args.seed is not None:
             raw.setdefault("scenario", {})["seed"] = args.seed

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import LargeScaleProfile, SystemConfig
+from .scenario import Grouped, LargeScaleProfile, SystemConfig
 
 # relative slack when checking the total-power constraint, absorbs roundoff
 # from solvers that place the allocation exactly on the power boundary
@@ -29,24 +29,22 @@ class PowerAllocation:
     p_dl: list
     q_dl: list
     p_up: list
-    q_up: list
+    q_up: Grouped
     tau: int
 
     def __post_init__(self):
         self.p_dl = [float(p) for p in self.p_dl]
         self.q_dl = [float(q) for q in self.q_dl]
         self.p_up = [float(p) for p in self.p_up]
-        self.q_up = [[float(q) for q in grp] for grp in self.q_up]
+        self.q_up = Grouped(self.q_up)
         self.tau = int(self.tau)
         if self.tau < 1:
             raise ValueError("tau must be a positive integer")
-        neg = (
-            any(p < 0 for p in self.p_dl)
-            or any(q < 0 for q in self.q_dl)
-            or any(p < 0 for p in self.p_up)
-            or any(q < 0 for g in self.q_up for q in g)
-        )
-        if neg:
+        if len(self.p_dl) != len(self.p_up) or len(self.q_dl) != len(self.q_up):
+            raise ValueError("p_dl and p_up must cover the same unicast users, "
+                             "q_dl and q_up the same groups")
+        powers = np.concatenate([self.p_dl, self.q_dl, self.p_up, self.q_up.flat])
+        if np.any(powers < 0):
             raise ValueError("powers must be nonnegative")
 
     @property
@@ -60,28 +58,33 @@ class PowerAllocation:
         return float(np.sum(self.q_dl))
 
     def check_feasible(self, config: SystemConfig):
-        """Validate the total-power and pilot-energy constraints."""
+        """Validate the users covered and the total-power and pilot-energy
+        constraints."""
+        config.check_users("allocation", len(self.p_up), self.q_up)
         total = self.unicast_power + self.multicast_power
         budget = config.total_dl_power
-        if total > budget * (1.0 + _POWER_FEASIBILITY_RTOL):
+        slack = 1.0 + _POWER_FEASIBILITY_RTOL
+        if total > budget * slack:
             raise InfeasibleAllocationError(
                 f"downlink power {total!r} violates P_un + P_mu <= P "
                 f"with P = {budget!r}"
             )
-        for m, (p, e) in enumerate(zip(self.p_up, config.unicast_energy_budgets)):
-            if self.tau * p > e * (1.0 + _POWER_FEASIBILITY_RTOL):
-                raise InfeasibleAllocationError(
-                    f"unicast pilot energy tau*p_up exceeds budget for user {m}"
-                )
-        for j, (grp, egrp) in enumerate(
-            zip(self.q_up, config.multicast_energy_budgets)
-        ):
-            for k, (q, e) in enumerate(zip(grp, egrp)):
-                if self.tau * q > e * (1.0 + _POWER_FEASIBILITY_RTOL):
-                    raise InfeasibleAllocationError(
-                        f"multicast pilot energy tau*q_up exceeds budget for "
-                        f"user {k} of group {j}"
-                    )
+        over = self.tau * np.asarray(self.p_up) \
+            > np.asarray(config.unicast_energy_budgets) * slack
+        if over.any():
+            raise InfeasibleAllocationError(
+                f"unicast pilot energy tau*p_up exceeds budget for user "
+                f"{np.argmax(over)}"
+            )
+        over = self.tau * self.q_up.flat \
+            > config.multicast_energy_budgets.flat * slack
+        if over.any():
+            member = np.argmax(over)
+            j = config.layout.member_group[member]
+            raise InfeasibleAllocationError(
+                f"multicast pilot energy tau*q_up exceeds budget for user "
+                f"{member - config.layout.starts[j]} of group {j}"
+            )
 
 
 def estimation_variance_unicast(tau, p_up, beta):
@@ -91,10 +94,7 @@ def estimation_variance_unicast(tau, p_up, beta):
     or broadcastable arrays.
     """
     x = np.multiply(tau, np.multiply(p_up, beta))
-    out = x * beta / (1.0 + x)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return x * beta / (1.0 + x)
 
 
 def estimation_variance_multicast(tau, q_up, eta):
@@ -132,23 +132,28 @@ class EstimationStats:
     """Channel-estimate variances for every user and group."""
 
     vartheta: list
-    xi: list
+    xi: Grouped
     gamma: list
 
     @classmethod
     def from_allocation(
         cls, alloc: PowerAllocation, profile: LargeScaleProfile
     ) -> "EstimationStats":
-        vartheta = [
-            estimation_variance_unicast(alloc.tau, p, b)
-            for p, b in zip(alloc.p_up, profile.beta)
-        ]
-        xi, gamma = [], []
-        for q_grp, eta_grp in zip(alloc.q_up, profile.eta):
-            xi_g, gamma_g = estimation_variance_multicast(alloc.tau, q_grp, eta_grp)
-            xi.append(list(xi_g))
-            gamma.append(gamma_g)
-        return cls(vartheta=vartheta, xi=xi, gamma=gamma)
+        """vartheta per unicast user; per group j with s_j = sum_k tau q_jk
+        eta_jk, xi_jk = tau q_jk eta_jk^2 / (1 + s_j) and
+        gamma_j = s_j^2 / (1 + s_j)."""
+        if len(alloc.p_up) != len(profile.beta) \
+                or alloc.q_up.layout.sizes != profile.eta.layout.sizes:
+            raise ValueError("the allocation and the profile cover different "
+                             "users")
+        tau = alloc.tau
+        vartheta = estimation_variance_unicast(tau, alloc.p_up, profile.beta)
+        layout = alloc.q_up.layout
+        q, eta = alloc.q_up.flat, profile.eta.flat
+        s = np.add.reduceat(tau * q * eta, layout.starts)
+        xi = tau * q * eta**2 / (1.0 + s[layout.member_group])
+        return cls(vartheta=vartheta.tolist(),
+                   xi=Grouped(xi, layout), gamma=(s * s / (1.0 + s)).tolist())
 
 
 @dataclass
@@ -157,15 +162,8 @@ class SpectralEfficiencies:
 
     sinr_unicast: list
     se_unicast: list
-    sinr_multicast: list
-    se_multicast: list
-
-    @property
-    def min_multicast_se(self) -> float:
-        return min(se for grp in self.se_multicast for se in grp)
-
-    def weighted_sum_unicast_se(self, weights) -> float:
-        return float(np.dot(weights, self.se_unicast))
+    sinr_multicast: Grouped
+    se_multicast: Grouped
 
 
 def sinr_se_unicast(
@@ -195,18 +193,17 @@ def sinr_se_multicast(
     alloc: PowerAllocation,
     profile: LargeScaleProfile,
 ):
-    """Per-multicast-user (sinr, se) under MRT, grouped like ``profile.eta``."""
+    """Per-multicast-user (sinr, se) under MRT, grouped like ``profile.eta``.
+
+    SINR_jk = N * q_j * xi_jk / (1 + eta_jk * (P_un + P_mu)).
+    """
     alloc.check_feasible(config)
     total = alloc.unicast_power + alloc.multicast_power
-    prelog = config.prelog(alloc.tau)
-    sinr_groups, se_groups = [], []
-    for q_dl, xi_grp, eta_grp in zip(alloc.q_dl, stats.xi, profile.eta):
-        xi = np.asarray(xi_grp)
-        eta = np.asarray(eta_grp)
-        sinr = config.n_antennas * q_dl * xi / (1.0 + eta * total)
-        sinr_groups.append(sinr)
-        se_groups.append(prelog * np.log2(1.0 + sinr))
-    return sinr_groups, se_groups
+    q_dl = np.asarray(alloc.q_dl)[config.layout.member_group]
+    sinr = config.n_antennas * q_dl * stats.xi.flat \
+        / (1.0 + profile.eta.flat * total)
+    se = config.prelog(alloc.tau) * np.log2(1.0 + sinr)
+    return Grouped(sinr, config.layout), Grouped(se, config.layout)
 
 
 def evaluate(
@@ -219,6 +216,6 @@ def evaluate(
     return SpectralEfficiencies(
         sinr_unicast=list(sinr_un),
         se_unicast=list(se_un),
-        sinr_multicast=[list(g) for g in sinr_mu],
-        se_multicast=[list(g) for g in se_mu],
+        sinr_multicast=sinr_mu,
+        se_multicast=se_mu,
     )

@@ -27,15 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import EstimationStats, PowerAllocation, pilot_scaling
-from .scenario import LargeScaleProfile, SystemConfig
+from .scenario import GroupLayout, Grouped, LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
 MIN_REALIZATIONS = 100
-
-
-def _group_starts(group_sizes) -> np.ndarray:
-    sizes = np.asarray(group_sizes)
-    return np.cumsum(sizes) - sizes
 
 
 @dataclass
@@ -48,7 +43,7 @@ class ChannelRealization:
 
     h: np.ndarray  # (U + sum K_g, N) complex
     n_unicast: int
-    group_sizes: list
+    layout: GroupLayout
 
     @property
     def f(self) -> np.ndarray:
@@ -58,8 +53,7 @@ class ChannelRealization:
     @property
     def g(self) -> list:
         """Per group, the (K_g, N) member channels."""
-        return np.split(self.h[self.n_unicast:],
-                        _group_starts(self.group_sizes)[1:])
+        return np.split(self.h[self.n_unicast:], self.layout.starts[1:])
 
 
 @dataclass
@@ -73,8 +67,8 @@ class ChannelEstimates:
     f_hat: np.ndarray  # (U, N)
     g_hat_composite: np.ndarray  # (G, N)
     tau: int
-    q_up: list  # per group: uplink pilot powers
-    eta: list  # per group: large-scale fading
+    q_up: Grouped  # uplink pilot powers
+    eta: Grouped  # large-scale fading
 
     @property
     def g_hat_user(self) -> list:
@@ -100,10 +94,10 @@ def draw_channels(
     profile: LargeScaleProfile, config: SystemConfig, rng: np.random.Generator
 ) -> ChannelRealization:
     """i.i.d. Rayleigh channels with per-antenna variances beta / eta."""
-    variances = np.concatenate([profile.beta, *profile.eta])
-    h = _crandn(rng, np.sqrt(variances), config.n_antennas)
+    config.check_users("profile", len(profile.beta), profile.eta)
+    h = _crandn(rng, np.sqrt(profile.fading), config.n_antennas)
     return ChannelRealization(h=h, n_unicast=config.n_unicast,
-                              group_sizes=config.group_sizes)
+                              layout=config.layout)
 
 
 def estimate_channels(
@@ -121,26 +115,27 @@ def estimate_channels(
     """
     tau = alloc.tau
     U, N = realization.f.shape
-    starts = _group_starts(realization.group_sizes)
+    starts = realization.layout.starts
+    # one scale per pilot: the U unicast pilots, then the G group pilots
+    scale = np.empty(U + len(starts))
 
     # unicast: y_u = sqrt(tau p_u) f_u + n_u, scaled by sqrt(tau p)b/(1+tau p b)
     p_up = np.asarray(alloc.p_up)
-    beta = np.asarray(profile.beta)
+    beta = profile.fading[:U]
     root_p = np.sqrt(tau * p_up)
-    scale_u = root_p * beta / (1.0 + tau * p_up * beta)
+    scale[:U] = root_p * beta / (1.0 + tau * p_up * beta)
     # group j: y_j = sum_k sqrt(tau q_k) g_k + n_j, scaled by s_j/(1+s_j)
-    q_up = np.concatenate(alloc.q_up)
-    eta = np.concatenate(profile.eta)
+    q_up = alloc.q_up.flat
     root_q = np.sqrt(tau * q_up)
-    s = np.add.reduceat(tau * q_up * eta, starts)
-    scale_g = s / (1.0 + s)
+    s = np.add.reduceat(tau * q_up * profile.eta.flat, starts)
+    scale[U:] = s / (1.0 + s)
 
     # the scaled pilot noise, to which the scaled pilot signal is added
-    estimates = _crandn(rng, np.concatenate([scale_u, scale_g]), N)
+    estimates = _crandn(rng, scale, N)
     est = estimates.view(np.float64)
-    est[:U] += (scale_u * root_p)[:, None] * realization.f.view(np.float64)
+    est[:U] += (scale[:U] * root_p)[:, None] * realization.f.view(np.float64)
     weighted = root_q[:, None] * realization.h[U:].view(np.float64)
-    est[U:] += scale_g[:, None] * np.add.reduceat(weighted, starts, axis=0)
+    est[U:] += scale[U:, None] * np.add.reduceat(weighted, starts, axis=0)
     return ChannelEstimates(f_hat=estimates[:U],
                             g_hat_composite=estimates[U:], tau=tau,
                             q_up=alloc.q_up, eta=profile.eta)
@@ -260,16 +255,9 @@ class _Accumulator:
         return self
 
 
-def _run_chunk(config, profile, alloc, stats, seed, indices):
-    U = config.n_unicast
-    users = np.arange(U + config.n_multicast)
-    # each user's own precoder column: m for unicast user m, U + j for the
-    # members of group j
-    own_col = np.concatenate([
-        np.arange(U),
-        U + np.repeat(np.arange(config.n_groups), config.group_sizes),
-    ])
-    acc = _Accumulator(len(users), U + config.n_groups)
+def _run_chunk(config, profile, alloc, stats, own_col, seed, indices):
+    users = np.arange(len(own_col))
+    acc = _Accumulator(len(users), config.n_pilots)
     for i in indices:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         real = draw_channels(profile, config, rng)
@@ -283,105 +271,70 @@ def _run_chunk(config, profile, alloc, stats, seed, indices):
     return acc
 
 
-def _breakdowns(config, profile, alloc, stats, acc):
-    """Turn the accumulated sums into per-user empirical/analytic reports."""
+def _breakdowns(config, profile, alloc, stats, own_col, acc):
+    """Turn the accumulated sums into per-user empirical/analytic reports.
+
+    Every array has one entry per user, unicast users first, then the group
+    members in member order.
+    """
     n = acc.n
-    U, G = config.n_unicast, config.n_groups
+    U = config.n_unicast
+    layout = config.layout
+    group = layout.member_group
     p_un = alloc.unicast_power
     p_mu = alloc.multicast_power
-    N = config.n_antennas
 
-    def one(service, index, mean_c, re2, abs2, abs4, cross, cross_sq,
-            same_cols, cross_cols, num_analytic, fade):
-        desired = abs(mean_c) ** 2
-        var_c = max(0.0, abs2 / n - desired)
-        # delta-method SE of |mean|^2 plus the usual SE for mean powers
-        var_re = max(0.0, re2 / n - mean_c.real**2)
-        desired_se = 2.0 * abs(mean_c) * np.sqrt(var_re / n) + var_c / n
-        var_abs2 = max(0.0, abs4 / n - (abs2 / n) ** 2)
-        self_se = np.sqrt(var_abs2 / n + (2.0 * abs(mean_c)) ** 2 * var_re / n)
+    mean_c = acc.sum_c / n
+    desired = np.abs(mean_c) ** 2
+    var_c = np.maximum(0.0, acc.sum_abs2_c / n - desired)
+    # delta-method SE of |mean|^2 plus the usual SE for mean powers
+    var_re = np.maximum(0.0, acc.sum_re2_c / n - mean_c.real**2)
+    desired_se = 2.0 * np.abs(mean_c) * np.sqrt(var_re / n) + var_c / n
+    var_abs2 = np.maximum(0.0, acc.sum_abs4_c / n - (acc.sum_abs2_c / n) ** 2)
+    self_se = np.sqrt(var_abs2 / n
+                      + (2.0 * np.abs(mean_c)) ** 2 * var_re / n)
 
-        mean_cross = cross / n
-        var_cross = np.maximum(0.0, cross_sq / n - mean_cross**2)
-        same = float(np.sum(mean_cross[same_cols]))
-        same_se = float(np.sqrt(np.sum(var_cross[same_cols]) / n))
-        other = float(np.sum(mean_cross[cross_cols]))
-        other_se = float(np.sqrt(np.sum(var_cross[cross_cols]) / n))
+    # same service: the other precoders of the user's own service (its own
+    # column enters through the desired power and var_c, and var_c counts
+    # toward same-service interference analytically); cross: the other
+    # service's precoders
+    mean_cross = acc.sum_cross / n
+    var_cross = np.maximum(0.0, acc.sum_cross_sq / n - mean_cross**2)
+    is_unicast = own_col < U
+    cols = np.arange(config.n_pilots)
+    same_block = is_unicast[:, None] == (cols < U)
+    same = same_block & (cols != own_col[:, None])
+    same_power = np.sum(mean_cross * same, axis=1)
+    cross_power = np.sum(mean_cross * ~same_block, axis=1)
 
-        denom = 1.0 + var_c + same + other
-        sinr_emp = desired / denom
-        if service == "unicast":
-            same_analytic = fade * p_un
-            cross_analytic = fade * p_mu
-        else:
-            same_analytic = fade * p_mu
-            cross_analytic = fade * p_un
-        sinr_analytic = num_analytic / (1.0 + fade * (p_un + p_mu))
-        return UserSinrBreakdown(
-            service=service,
-            index=index,
-            desired_power=desired,
-            desired_power_analytic=num_analytic,
-            desired_power_se=float(desired_se),
-            self_interference=var_c,
-            self_interference_se=float(self_se),
-            same_service_interference=same,
-            same_service_interference_se=same_se,
-            cross_service_interference=other,
-            cross_service_interference_se=other_se,
-            same_service_analytic=same_analytic,
-            cross_service_analytic=cross_analytic,
-            sinr_empirical=sinr_emp,
-            sinr_analytic=sinr_analytic,
-        )
-
-    unicast = []
-    for m in range(U):
-        same_cols = [u for u in range(U) if u != m]
-        cross_cols = list(range(U, U + G))
-        # the user's own column enters through the desired power and var_c,
-        # and var_c counts toward same-service interference analytically
-        unicast.append(
-            one(
-                "unicast",
-                (m,),
-                acc.sum_c[m] / n,
-                acc.sum_re2_c[m],
-                acc.sum_abs2_c[m],
-                acc.sum_abs4_c[m],
-                acc.sum_cross[m],
-                acc.sum_cross_sq[m],
-                same_cols,
-                cross_cols,
-                N * alloc.p_dl[m] * stats.vartheta[m],
-                profile.beta[m],
-            )
-        )
-
-    multicast = []
-    row = U
-    for j, k_g in enumerate(config.group_sizes):
-        for k in range(k_g):
-            same_cols = [U + g for g in range(G) if g != j]
-            cross_cols = list(range(U))
-            multicast.append(
-                one(
-                    "multicast",
-                    (j, k),
-                    acc.sum_c[row] / n,
-                    acc.sum_re2_c[row],
-                    acc.sum_abs2_c[row],
-                    acc.sum_abs4_c[row],
-                    acc.sum_cross[row],
-                    acc.sum_cross_sq[row],
-                    same_cols,
-                    cross_cols,
-                    N * alloc.q_dl[j] * stats.xi[j][k],
-                    profile.eta[j][k],
-                )
-            )
-            row += 1
-    return unicast, multicast
+    fade = profile.fading
+    dl_power = np.concatenate([alloc.p_dl, np.asarray(alloc.q_dl)[group]])
+    variance = np.concatenate([stats.vartheta, stats.xi.flat])
+    num_analytic = config.n_antennas * dl_power * variance
+    fields = dict(
+        desired_power=desired, desired_power_analytic=num_analytic,
+        desired_power_se=desired_se, self_interference=var_c,
+        self_interference_se=self_se, same_service_interference=same_power,
+        same_service_interference_se=np.sqrt(
+            np.sum(var_cross * same, axis=1) / n),
+        cross_service_interference=cross_power,
+        cross_service_interference_se=np.sqrt(
+            np.sum(var_cross * ~same_block, axis=1) / n),
+        same_service_analytic=fade * np.where(is_unicast, p_un, p_mu),
+        cross_service_analytic=fade * np.where(is_unicast, p_mu, p_un),
+        sinr_empirical=desired / (1.0 + var_c + same_power + cross_power),
+        sinr_analytic=num_analytic / (1.0 + fade * (p_un + p_mu)),
+    )
+    services = ["unicast"] * U + ["multicast"] * config.n_multicast
+    member = np.arange(config.n_multicast) - layout.starts[group]
+    indices = list(zip(range(U))) + list(zip(group.tolist(), member.tolist()))
+    rows = [
+        UserSinrBreakdown(service=service, index=index,
+                          **dict(zip(fields, values)))
+        for service, index, *values in zip(
+            services, indices, *(x.tolist() for x in fields.values()))
+    ]
+    return rows[:U], rows[U:]
 
 
 def empirical_sinr(
@@ -402,26 +355,30 @@ def empirical_sinr(
     alloc.check_feasible(config)
     stats = EstimationStats.from_allocation(alloc, profile)
 
+    # each user's own precoder column: m for unicast user m, U + j for the
+    # members of group j
+    U = config.n_unicast
+    own_col = np.concatenate([np.arange(U), U + config.layout.member_group])
+
+    def run(chunk):
+        return _run_chunk(config, profile, alloc, stats, own_col, seed, chunk)
+
     chunks = [
         range(i, min(i + _CHUNK, n_realizations))
         for i in range(0, n_realizations, _CHUNK)
     ]
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            accs = list(
-                pool.map(
-                    lambda c: _run_chunk(config, profile, alloc, stats, seed, c),
-                    chunks,
-                )
-            )
+            accs = list(pool.map(run, chunks))
     else:
-        accs = [_run_chunk(config, profile, alloc, stats, seed, c) for c in chunks]
+        accs = [run(c) for c in chunks]
 
     total = accs[0]
     for acc in accs[1:]:
         total.merge(acc)
 
-    unicast, multicast = _breakdowns(config, profile, alloc, stats, total)
+    unicast, multicast = _breakdowns(config, profile, alloc, stats, own_col,
+                                     total)
     return MonteCarloReport(
         n_realizations=n_realizations, seed=seed, unicast=unicast,
         multicast=multicast,

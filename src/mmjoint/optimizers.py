@@ -6,7 +6,7 @@ validate the closed forms on tiny instances.
 
 The solvers evaluate a whole array of power splits per call; ``solve_mmf`` and
 ``solve_wsse`` are its one-split case and ``pareto_sweep`` its full grid.  The
-solutions from one call share their split-independent lists (pilot powers,
+solutions from one call share their split-independent values (pilot powers,
 upsilon, x_star, vartheta_star).
 """
 
@@ -22,7 +22,7 @@ from .closed_form import (
     estimation_variance_multicast,
     estimation_variance_unicast,
 )
-from .scenario import LargeScaleProfile, SystemConfig
+from .scenario import Grouped, LargeScaleProfile, SystemConfig
 
 LN2 = math.log(2.0)
 
@@ -38,10 +38,10 @@ class MmfSolution:
     objective: float
     common_sinr: float
     q_dl: list
-    q_up: list
+    q_up: Grouped
     tau: int
     upsilon: list
-    x_star: list
+    x_star: Grouped
 
 
 @dataclass
@@ -80,28 +80,28 @@ def _mmf_solutions(
     config: SystemConfig, profile: LargeScaleProfile, p_un: np.ndarray
 ) -> list[MmfSolution]:
     """Max-min-fair solutions for every unicast power in ``p_un``."""
+    config.check_users("profile", len(profile.beta), profile.eta)
     P = config.total_dl_power
     N = config.n_antennas
     tau = config.n_pilots
+    layout = config.layout
 
-    eta = [np.asarray(g, dtype=float) for g in profile.eta]
-    budgets = [np.asarray(g, dtype=float) for g in config.multicast_energy_budgets]
-    upsilon = np.array([np.min(e_g * eta_g**2 / (1.0 + eta_g * P))
-                        for eta_g, e_g in zip(eta, budgets)])
-    x_star = [(1.0 + eta_g * P) / eta_g**2 * ups
-              for eta_g, ups in zip(eta, upsilon)]
-    denom = (P * config.n_multicast + np.sum(1.0 / upsilon)
-             + sum(np.sum(1.0 / e_g) for e_g in eta))
-    gain = np.array([1.0 + np.sum(x * e_g) for x, e_g in zip(x_star, eta)])
+    eta = profile.eta.flat
+    budgets = config.multicast_energy_budgets.flat
+    upsilon = np.minimum.reduceat(budgets * eta**2 / (1.0 + eta * P),
+                                  layout.starts)
+    x_star = (1.0 + eta * P) / eta**2 * upsilon[layout.member_group]
+    denom = P * config.n_multicast + np.sum(1.0 / upsilon) + np.sum(1.0 / eta)
+    gain = 1.0 + np.add.reduceat(x_star * eta, layout.starts)
     q_per_sinr = gain / (N * upsilon)  # group downlink power per unit SINR
 
     common_sinr = N * (P - p_un) / denom
     objective = config.prelog(tau) * np.log2(1.0 + common_sinr)
     q_dl = np.outer(common_sinr, q_per_sinr)
 
-    q_up = [(x / tau).tolist() for x in x_star]
+    q_up = Grouped(x_star / tau, layout)
     upsilon = upsilon.tolist()
-    x_star = [x.tolist() for x in x_star]
+    x_star = Grouped(x_star, layout)
     return [
         MmfSolution(objective=obj, common_sinr=sinr, q_dl=q, q_up=q_up,
                     tau=tau, upsilon=upsilon, x_star=x_star)
@@ -136,6 +136,7 @@ def _wsse_solutions(
     active count k for a power t is one searchsorted and the water level is
     exactly nu = A_k / (ln2 (t + F_k)) (Palomar & Fonollosa, IEEE TSP 2005).
     """
+    config.check_users("profile", len(profile.beta), profile.eta)
     P = config.total_dl_power
     tau = config.n_pilots
 

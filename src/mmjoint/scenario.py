@@ -9,8 +9,9 @@ normalizes to E = Ebar / sigma2 and a tau-symbol pilot satisfies tau * q <= E.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +20,73 @@ PATHLOSS_EXPONENT = 3.76
 ATTENUATION_CONST = 10.0 ** -3.5
 CELL_RADIUS_M = 500.0
 EXCLUSION_RADIUS_M = 35.0
+
+
+class GroupLayout:
+    """Member order of the multicast groups: groups in order, then members.
+
+    Per-group sums and minima are one ``reduceat`` at ``starts`` (each group's
+    first member); indexing a per-group array with ``member_group`` (each
+    member's group) broadcasts it to the members.
+    """
+
+    def __init__(self, sizes):
+        self.sizes = tuple(int(k) for k in sizes)
+        counts = np.array(self.sizes, dtype=np.intp)
+        self.starts = np.cumsum(counts) - counts
+        self.member_group = np.repeat(np.arange(len(counts)), counts)
+
+
+class Grouped:
+    """Per-member values held as one flat float64 array in ``layout`` order.
+
+    Built from nested sequences, another ``Grouped``, or a flat array and its
+    layout.  ``x[j]`` is a view of group j, so ``x[j][k]`` and iteration over
+    the groups read as for a list of lists.
+    """
+
+    __slots__ = ("flat", "layout")
+
+    def __init__(self, values, layout: GroupLayout | None = None):
+        if isinstance(values, Grouped):
+            flat, sizes, layout = values.flat, values.layout.sizes, \
+                layout or values.layout
+        elif isinstance(values, np.ndarray) and values.ndim == 1:
+            flat, sizes = values, layout.sizes
+        else:
+            sizes = tuple(len(g) for g in values)
+            flat = np.fromiter(itertools.chain.from_iterable(values),
+                               dtype=float, count=sum(sizes))
+        if layout is None:
+            layout = GroupLayout(sizes)
+        elif layout.sizes != sizes:
+            raise ValueError(f"groups of sizes {list(sizes)} do not match "
+                             f"the layout {list(layout.sizes)}")
+        self.flat = np.asarray(flat, dtype=float)
+        self.layout = layout
+
+    def __len__(self) -> int:
+        return len(self.layout.sizes)
+
+    def __getitem__(self, j) -> np.ndarray:
+        start = self.layout.starts[j]
+        return self.flat[start:start + self.layout.sizes[j]]
+
+    def __iter__(self):
+        return iter(np.split(self.flat, self.layout.starts[1:]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Grouped):
+            return NotImplemented
+        return self.layout.sizes == other.layout.sizes \
+            and np.array_equal(self.flat, other.flat)
+
+    def __repr__(self) -> str:
+        return f"Grouped({self.tolist()!r})"
+
+    def tolist(self) -> list:
+        """Nested lists of Python floats, one list per group."""
+        return [g.tolist() for g in self]
 
 
 @dataclass
@@ -42,12 +110,14 @@ class SystemConfig:
         documented degenerate case (solvers return all-zero allocations).
     unicast_energy_budgets : list[float]
         Per-unicast-user pilot energy budget, noise-normalized.
-    multicast_energy_budgets : list[list[float]]
-        Per-group, per-user pilot energy budgets, noise-normalized.
+    multicast_energy_budgets : Grouped
+        Per-group, per-user pilot energy budgets, noise-normalized; given as
+        nested lists or a ``Grouped``.
     unicast_weights : list[float]
         Weights of the unicast spectral efficiencies (defaults to all ones).
-    pilot_length : int
-        Pilot length in symbols; defaults to ``n_unicast + n_groups``.
+    layout : GroupLayout
+        Derived from ``group_sizes``; the member order of every per-member
+        quantity.
     """
 
     n_antennas: int
@@ -57,9 +127,9 @@ class SystemConfig:
     coherence_symbols: int
     total_dl_power: float
     unicast_energy_budgets: list
-    multicast_energy_budgets: list
+    multicast_energy_budgets: Grouped
     unicast_weights: list | None = None
-    pilot_length: int | None = None
+    layout: GroupLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_antennas < 1:
@@ -77,6 +147,7 @@ class SystemConfig:
             raise ValueError("coherence_symbols must be a positive integer")
         if not 0 <= self.total_dl_power < math.inf:
             raise ValueError("total_dl_power must be finite and nonnegative")
+        self.layout = GroupLayout(self.group_sizes)
 
         self.unicast_energy_budgets = [float(e) for e in self.unicast_energy_budgets]
         if len(self.unicast_energy_budgets) != self.n_unicast:
@@ -85,15 +156,13 @@ class SystemConfig:
             raise ValueError("unicast_energy_budgets must be finite and strictly "
                              "positive")
 
-        self.multicast_energy_budgets = [
-            [float(e) for e in grp] for grp in self.multicast_energy_budgets
-        ]
-        if [len(g) for g in self.multicast_energy_budgets] != self.group_sizes:
+        budgets = Grouped(self.multicast_energy_budgets)
+        if budgets.layout.sizes != self.layout.sizes:
             raise ValueError("multicast_energy_budgets must match group_sizes")
-        if not all(0 < e < math.inf for g in self.multicast_energy_budgets
-                   for e in g):
+        if not np.all((budgets.flat > 0) & (budgets.flat < math.inf)):
             raise ValueError("multicast_energy_budgets must be finite and "
                              "strictly positive")
+        self.multicast_energy_budgets = Grouped(budgets.flat, self.layout)
 
         if self.unicast_weights is None:
             self.unicast_weights = [1.0] * self.n_unicast
@@ -102,15 +171,6 @@ class SystemConfig:
             raise ValueError("unicast_weights must have length n_unicast")
         if not all(0 < w < math.inf for w in self.unicast_weights):
             raise ValueError("unicast_weights must be finite and strictly positive")
-
-        if self.pilot_length is None:
-            self.pilot_length = self.n_pilots
-        self.pilot_length = int(self.pilot_length)
-        if not (self.n_pilots <= self.pilot_length <= self.coherence_symbols):
-            raise ValueError(
-                "pilot_length must satisfy n_unicast + n_groups <= pilot_length "
-                "<= coherence_symbols"
-            )
 
     @property
     def n_pilots(self) -> int:
@@ -121,11 +181,16 @@ class SystemConfig:
     def n_multicast(self) -> int:
         return sum(self.group_sizes)
 
-    def prelog(self, tau: int | None = None) -> float:
+    def prelog(self, tau: int) -> float:
         """Pilot-overhead prelog factor 1 - tau/T."""
-        if tau is None:
-            tau = self.pilot_length
         return 1.0 - tau / self.coherence_symbols
+
+    def check_users(self, name: str, n_unicast: int, groups: Grouped):
+        """Raise ValueError unless per-user values cover this cell's users."""
+        got = (n_unicast, list(groups.layout.sizes))
+        if got != (self.n_unicast, self.group_sizes):
+            raise ValueError(f"{name} has (unicast users, group sizes) {got}, "
+                             f"the config {(self.n_unicast, self.group_sizes)}")
 
 
 @dataclass
@@ -152,17 +217,23 @@ class CellGeometry:
 
 @dataclass
 class LargeScaleProfile:
-    """Per-user large-scale fading coefficients (linear scale)."""
+    """Per-user large-scale fading coefficients (linear scale).
+
+    ``fading`` holds every user's coefficient, the unicast users first and
+    then the group members in member order; ``eta`` is a view of it.
+    """
 
     beta: list
-    eta: list
+    eta: Grouped
 
     def __post_init__(self):
-        self.beta = [float(b) for b in self.beta]
-        self.eta = [[float(e) for e in grp] for grp in self.eta]
-        all_c = self.beta + [e for g in self.eta for e in g]
-        if any(not (c > 0 and math.isfinite(c)) for c in all_c):
+        beta = np.asarray(self.beta, dtype=float)
+        eta = Grouped(self.eta)
+        self.fading = np.concatenate([beta, eta.flat])
+        if not np.all((self.fading > 0) & np.isfinite(self.fading)):
             raise ValueError("all fading coefficients must be positive and finite")
+        self.beta = beta.tolist()
+        self.eta = Grouped(self.fading[len(beta):], eta.layout)
 
     @classmethod
     def from_geometry(
@@ -248,14 +319,12 @@ def place_users(
     if not exclusion_radius < cell_radius:
         raise ValueError("exclusion_radius must be smaller than cell_radius")
     rng = np.random.default_rng(seed)
-    unicast = _annulus_radii(rng, config.n_unicast, exclusion_radius, cell_radius)
-    multicast = [
-        _annulus_radii(rng, k, exclusion_radius, cell_radius)
-        for k in config.group_sizes
-    ]
+    radii = _annulus_radii(rng, config.n_unicast + config.n_multicast,
+                           exclusion_radius, cell_radius)
     return CellGeometry(
-        unicast_distances=list(unicast),
-        multicast_distances=[list(m) for m in multicast],
+        unicast_distances=radii[:config.n_unicast].tolist(),
+        multicast_distances=Grouped(radii[config.n_unicast:],
+                                    config.layout).tolist(),
         cell_radius=cell_radius,
         exclusion_radius=exclusion_radius,
     )

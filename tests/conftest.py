@@ -22,7 +22,6 @@ def make_system(
     total_dl_power=5.0,
     energy=10.0,
     weights=None,
-    pilot_length=None,
 ):
     return SystemConfig(
         n_antennas=n_antennas,
@@ -34,7 +33,6 @@ def make_system(
         unicast_energy_budgets=[energy] * n_unicast,
         multicast_energy_budgets=[[energy] * k for k in group_sizes],
         unicast_weights=weights,
-        pilot_length=pilot_length,
     )
 
 

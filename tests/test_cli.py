@@ -30,7 +30,7 @@ SMALL_CONFIG = {
     },
     "sweep": {"n_points": 5, "antenna_counts": [32, 64]},
     "montecarlo": {"n_realizations": 300, "seed": 3, "n_workers": 1},
-    "output": {"directory": "out", "formats": ["csv", "plotdata"]},
+    "output": {"directory": "out"},
 }
 
 
@@ -81,6 +81,7 @@ class TestConfigLoading:
         ("total_dl_power", float("nan")),
         ("total_dl_power", float("inf")),
         ("unicast_energy_budgets", float("inf")),
+        ("multicast_energy_budgets", [[10.0, 10.0], [5.0]]),
     ])
     def test_invalid_value_on_seed_path_is_config_error(
             self, tmp_path, capsys, key, value):
@@ -110,6 +111,14 @@ class TestConfigLoading:
          "montecarlo.unicast_power_fraction"),
         ("physical", "bandwidth_hz", -1, "physical"),
         ("scenario", "exclusion_radius_m", 600, "scenario.exclusion_radius_m"),
+        ("sweep", "n_points", 1, "sweep.n_points"),
+        ("sweep", "antenna_counts", [0], "sweep.antenna_counts"),
+        ("scenario", "cell_radius_m", "abc", "scenario.cell_radius_m"),
+        ("scenario", "exclusion_radius_m", -5.0,
+         "scenario.exclusion_radius_m"),
+        ("scenario", "pathloss_exponent", float("nan"),
+         "scenario.pathloss_exponent"),
+        ("scenario", "attenuation_const", 0.0, "scenario.attenuation_const"),
     ])
     def test_invalid_value_exits_2_naming_field(
             self, tmp_path, capsys, block, key, value, field):
@@ -159,6 +168,17 @@ class TestPareto:
         data = [l for l in (out / "pareto.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert len(data) == 1 + 7
+
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_points_below_two_rejected(self, config_path, tmp_path, capsys,
+                                       points):
+        code = main(["pareto", "--config", config_path, "--out",
+                     str(tmp_path / "run"), "--points", points, "--n", "32"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "--points"
+        assert not (tmp_path / "run").exists()
 
     def test_determinism_byte_identical(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -214,6 +234,38 @@ class TestSolverCommands:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
+
+
+def normalized_config(tmp_path, total_dl_power):
+    raw = json.loads(json.dumps(SMALL_CONFIG))
+    del raw["scenario"]["physical"]
+    raw["scenario"].update(total_dl_power=total_dl_power,
+                           unicast_energy_budgets=10.0,
+                           multicast_energy_budgets=10.0)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestPowerBudgetBounds:
+    def test_zero_power_sweep_is_config_error(self, tmp_path, capsys):
+        path = normalized_config(tmp_path, 0.0)
+        out = tmp_path / "run"
+        assert main(["pareto", "--config", path, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["field"] == "scenario.total_dl_power"
+        assert not (out / "pareto.csv").exists()
+        # a single solve at P = 0 is the documented degenerate case
+        assert main(["mmf", "--config", path, "--out", str(out)]) == 0
+
+    def test_non_finite_result_writes_nothing(self, tmp_path, capsys):
+        path = normalized_config(tmp_path, 1e300)
+        out = tmp_path / "run"
+        assert main(["mmf", "--config", path, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "scenario"
+        assert list(out.iterdir()) == []
 
 
 class TestValidate:

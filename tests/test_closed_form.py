@@ -14,7 +14,8 @@ from mmjoint.closed_form import (
     sinr_se_multicast,
     sinr_se_unicast,
 )
-from mmjoint.scenario import LargeScaleProfile
+from mmjoint.optimizers import solve_mmf
+from mmjoint.scenario import LargeScaleProfile, SystemConfig
 
 from conftest import make_system
 
@@ -106,7 +107,7 @@ class TestSinrSe:
         assert sinr[1] > 0.0
 
     def test_full_pilot_overhead_kills_se(self):
-        cfg = make_system(total_dl_power=4.0, pilot_length=200, energy=30.0)
+        cfg = make_system(total_dl_power=4.0, energy=30.0)
         alloc = make_alloc(tau=200, p_up=(0.1, 0.1), q_up=((0.05, 0.05),))
         stats = EstimationStats.from_allocation(alloc, self.profile)
         sinr, se = sinr_se_unicast(cfg, stats, alloc, self.profile)
@@ -195,3 +196,93 @@ class TestPowerAllocation:
         alloc = make_alloc(p_dl=(1.0, 2.0), q_dl=(0.5,))
         assert alloc.unicast_power == 3.0
         assert alloc.multicast_power == 0.5
+
+
+@pytest.fixture
+def three_groups():
+    """Unequal groups (1, 2, 3), unequal pilot budgets, one zero pilot power."""
+    config = SystemConfig(
+        n_antennas=16, n_unicast=2, n_groups=3, group_sizes=[1, 2, 3],
+        coherence_symbols=200, total_dl_power=5.0,
+        unicast_energy_budgets=[10.0, 10.0],
+        multicast_energy_budgets=[[10.0], [6.0, 12.0], [9.0, 4.0, 15.0]],
+    )
+    profile = LargeScaleProfile(beta=[0.8, 1.5],
+                                eta=[[1.0], [0.6, 2.0], [0.3, 1.1, 0.7]])
+    # tau = U + G = 5; pilot energies inside the budgets
+    alloc = PowerAllocation(p_dl=[1.2, 0.8], q_dl=[1.0, 1.5, 0.5],
+                            p_up=[2.0, 1.0],
+                            q_up=[[1.5], [0.5, 2.0], [1.2, 0.0, 0.8]], tau=5)
+    return config, profile, alloc
+
+
+def same(actual, desired):
+    np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=0.0)
+
+
+class TestLoopReference:
+    def test_estimation_and_sinr_equal_per_group_loops(self, three_groups):
+        config, profile, alloc = three_groups
+        stats = EstimationStats.from_allocation(alloc, profile)
+        sinr, se = sinr_se_multicast(config, stats, alloc, profile)
+        total = alloc.unicast_power + alloc.multicast_power
+        assert len(stats.xi) == len(sinr) == len(se) == config.n_groups
+        for j, (q, eta) in enumerate(zip(alloc.q_up, profile.eta)):
+            xi, gamma = estimation_variance_multicast(alloc.tau, q, eta)
+            same(stats.xi[j], xi)
+            same(stats.gamma[j], gamma)
+            expected = config.n_antennas * alloc.q_dl[j] * xi / (
+                1.0 + np.asarray(eta) * total)
+            same(sinr[j], expected)
+            same(se[j], config.prelog(alloc.tau) * np.log2(1.0 + expected))
+        # the zero pilot power gives that member no estimate and no SINR
+        assert stats.xi[2][1] == 0.0 and sinr[2][1] == 0.0
+
+    def test_mmf_equals_per_group_loops(self, three_groups):
+        config, profile, _ = three_groups
+        P, N, tau = config.total_dl_power, config.n_antennas, config.n_pilots
+        p_un = 0.4 * P
+        sol = solve_mmf(config, profile, p_un)
+        upsilon, x_star = [], []
+        for eta, budget in zip(profile.eta, config.multicast_energy_budgets):
+            eta, budget = np.asarray(eta), np.asarray(budget)
+            upsilon.append(min(budget * eta**2 / (1.0 + eta * P)))
+            x_star.append((1.0 + eta * P) / eta**2 * upsilon[-1])
+        denom = (P * config.n_multicast + sum(1.0 / u for u in upsilon)
+                 + sum(float(np.sum(1.0 / np.asarray(e))) for e in profile.eta))
+        common = N * (P - p_un) / denom
+        same(sol.upsilon, upsilon)
+        assert len(sol.x_star) == len(sol.q_up) == config.n_groups
+        for j, eta in enumerate(profile.eta):
+            same(sol.x_star[j], x_star[j])
+            same(sol.q_up[j], x_star[j] / tau)
+            # with these pilots every member of the group reaches the
+            # common SINR at the group's downlink power
+            xi, _ = estimation_variance_multicast(tau, sol.q_up[j], eta)
+            same(sol.q_dl[j], common * np.max((1.0 + np.asarray(eta) * P)
+                                              / (N * xi)))
+            same(N * sol.q_dl[j] * xi / (1.0 + np.asarray(eta) * P), common)
+
+
+class TestGroupLayoutMismatch:
+    """A profile or allocation with other groups than the config raises."""
+
+    def setup_method(self):
+        self.config = make_system(n_unicast=2, n_groups=2, group_sizes=(2, 1))
+        self.profile = LargeScaleProfile(beta=[0.8, 1.5],
+                                         eta=[[1.0, 0.6], [0.9]])
+
+    def test_profile_with_other_groups(self):
+        one_group = LargeScaleProfile(beta=[0.8, 1.5], eta=[[1.0, 0.6]])
+        with pytest.raises(ValueError, match="group sizes"):
+            solve_mmf(self.config, one_group, 1.0)
+
+    @pytest.mark.parametrize("matching_profile", [True, False])
+    def test_allocation_with_other_groups(self, matching_profile):
+        alloc = make_alloc(tau=4)  # one group of two: lacks group 2
+        profile = self.profile if matching_profile else LargeScaleProfile(
+            beta=[0.8, 1.5], eta=[[1.0, 0.6]])
+        with pytest.raises(ValueError):
+            evaluate(self.config, alloc, profile)
+        with pytest.raises(ValueError, match="group sizes"):
+            alloc.check_feasible(self.config)

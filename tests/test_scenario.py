@@ -21,17 +21,6 @@ from conftest import make_system
 
 
 class TestSystemConfig:
-    def test_pilot_length_defaults_to_pilot_count(self):
-        cfg = make_system(n_unicast=3, n_groups=2, group_sizes=(1, 2))
-        assert cfg.pilot_length == 5
-        assert cfg.n_pilots == 5
-
-    def test_pilot_length_bounds(self):
-        with pytest.raises(ValueError, match="pilot_length"):
-            make_system(pilot_length=2)  # below U + G
-        with pytest.raises(ValueError, match="pilot_length"):
-            make_system(pilot_length=201)  # above T
-
     def test_group_size_mismatch(self):
         with pytest.raises(ValueError, match="group_sizes"):
             make_system(n_groups=2, group_sizes=(2,))
