@@ -10,16 +10,18 @@ resolved configuration and seed.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .closed_form import InfeasibleAllocationError, PowerAllocation
 from .montecarlo import MIN_REALIZATIONS, empirical_sinr
 from .optimizers import (
+    MIN_CONVEXITY_POINTS,
     brute_force_oracle,
     check_convexity,
     pareto_sweep,
@@ -27,6 +29,10 @@ from .optimizers import (
     solve_wsse,
 )
 from .scenario import (
+    ATTENUATION_CONST,
+    CELL_RADIUS_M,
+    EXCLUSION_RADIUS_M,
+    PATHLOSS_EXPONENT,
     CellGeometry,
     Grouped,
     LargeScaleProfile,
@@ -36,9 +42,9 @@ from .scenario import (
     place_users,
 )
 
+# what the field table cannot default: the cell, its power and its user drop
 DEFAULT_CONFIG = {
     "scenario": {
-        "n_antennas": 100,
         "n_unicast": 20,
         "n_groups": 10,
         "group_sizes": 100,
@@ -49,39 +55,8 @@ DEFAULT_CONFIG = {
             "dl_power_watts": 10.0,
             "pilot_energy_joules": 2e-6,
         },
-        "cell_radius_m": 500.0,
-        "exclusion_radius_m": 35.0,
-        "pathloss_exponent": 3.76,
-        "attenuation_const": 10.0 ** -3.5,
         "seed": 1,
     },
-    "sweep": {"n_points": 21, "antenna_counts": [50, 100, 200]},
-    "montecarlo": {
-        "n_realizations": 20000,
-        "seed": 1,
-        "n_workers": 1,
-        "unicast_power_fraction": 0.5,
-    },
-    "output": {"directory": "out"},
-}
-
-_SCHEMA = {
-    "scenario": {
-        "n_antennas", "n_unicast", "n_groups", "group_sizes",
-        "coherence_symbols", "unicast_weights", "physical",
-        "total_dl_power", "unicast_energy_budgets", "multicast_energy_budgets",
-        "cell_radius_m", "exclusion_radius_m", "pathloss_exponent",
-        "attenuation_const", "seed", "unicast_distances",
-        "multicast_distances",
-    },
-    "physical": {
-        "bandwidth_hz", "noise_psd_dbm_per_hz", "dl_power_watts",
-        "pilot_energy_joules",
-    },
-    "sweep": {"n_points", "antenna_counts"},
-    "montecarlo": {"n_realizations", "seed", "n_workers",
-                   "unicast_power_fraction"},
-    "output": {"directory"},
 }
 
 RADIAL_RATIOS = (0.25, 0.5, 0.75)
@@ -98,51 +73,115 @@ class ConfigError(Exception):
         self.message = message
 
 
-def _check_keys(block: dict, name: str):
-    if not isinstance(block, dict):
-        raise ConfigError(name, "must be a mapping")
-    for key in block:
-        if key not in _SCHEMA[name]:
-            raise ConfigError(f"{name}.{key}", "unknown key")
-
-
-def _require(block: dict, name: str, key: str):
-    if key not in block:
-        raise ConfigError(f"{name}.{key}", "missing required field")
-    return block[key]
-
-
 def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _check_integer(value, field: str, low: int):
-    if not _is_number(value, int) or value < low:
-        raise ConfigError(field, f"must be an integer >= {low}")
+# a kind of value is (test, description of a valid value)
+def _integer(low: int):
+    return (lambda v: _is_number(v, int) and v >= low), f"an integer >= {low}"
 
 
-def _check_montecarlo(mc: dict):
-    """Reject values that would otherwise be truncated, ignored or refused
-    only as an infeasible allocation."""
-    for key, low in (("n_realizations", MIN_REALIZATIONS), ("seed", 0),
-                     ("n_workers", 1)):
-        _check_integer(mc.get(key, low), f"montecarlo.{key}", low)
-    frac = mc.get("unicast_power_fraction", 0.5)
-    if not _is_number(frac) or not 0.0 <= frac <= 1.0:
-        raise ConfigError("montecarlo.unicast_power_fraction",
-                          "must be a finite number in [0, 1]")
+def _list_of(kind, valid: str | None = None):
+    test, each = kind  # every list in a valid config has an entry
+    return (lambda v: isinstance(v, list) and v != [] and all(map(test, v)),
+            valid or f"a nonempty list, each {each}")
 
 
-def _check_sweep(sweep: dict):
-    """Reject sweeps that would otherwise fail only as infeasible."""
-    default = DEFAULT_CONFIG["sweep"]
-    _check_integer(sweep.get("n_points", default["n_points"]),
-                   "sweep.n_points", 2)
-    counts = sweep.get("antenna_counts", default["antenna_counts"])
-    if not isinstance(counts, list) or not counts \
-            or not all(_is_number(n, int) and n >= 1 for n in counts):
-        raise ConfigError("sweep.antenna_counts",
-                          "must be a nonempty list of positive integers")
+def _one_or_list(kind, valid: str | None = None):
+    test, one = kind
+    many = _list_of(kind)[0]
+    return (lambda v: test(v) or many(v)), valid or f"{one} or a list of them"
+
+
+_REQUIRED = object()  # default of a field that must be given
+_COUNT = _integer(1)
+_MAPPING = (lambda v: isinstance(v, dict)), "a mapping"
+_NUMBER = _is_number, "a number"
+_POSITIVE = (lambda v: _is_number(v) and 0.0 < v < math.inf,
+             "a finite positive number")
+_NONNEGATIVE = (lambda v: _is_number(v) and 0.0 <= v < math.inf,
+                "a finite number >= 0")
+
+# block -> key -> (kind, default); a default of None leaves an absent field
+# absent.  Rules that join fields (list lengths, the radii's order, distances
+# inside the cell, the physical ranges, the pilot length below the coherence
+# interval) live in the dataclasses of ``scenario``.
+_FIELDS = {
+    "<root>": {"scenario": (_MAPPING, _REQUIRED), "sweep": (_MAPPING, {}),
+               "montecarlo": (_MAPPING, {}), "output": (_MAPPING, {})},
+    "scenario": {
+        "n_antennas": (_COUNT, 100),
+        "n_unicast": (_COUNT, _REQUIRED),
+        "n_groups": (_COUNT, _REQUIRED),
+        "group_sizes": (_one_or_list(_COUNT), _REQUIRED),
+        "coherence_symbols": (_COUNT, _REQUIRED),
+        "unicast_weights": (_list_of(_POSITIVE), None),
+        "physical": (_MAPPING, None),
+        "total_dl_power": (_NONNEGATIVE, None),
+        "unicast_energy_budgets": (_one_or_list(_POSITIVE), None),
+        "multicast_energy_budgets": (_one_or_list(
+            _one_or_list(_POSITIVE), "a finite positive number, or a list "
+            "with one such number or list of them per group"), None),
+        "cell_radius_m": (_POSITIVE, CELL_RADIUS_M),
+        "exclusion_radius_m": (_POSITIVE, EXCLUSION_RADIUS_M),
+        "pathloss_exponent": (_POSITIVE, PATHLOSS_EXPONENT),
+        "attenuation_const": (_POSITIVE, ATTENUATION_CONST),
+        "seed": (_integer(0), None),
+        "unicast_distances": (_list_of(_NUMBER), None),
+        "multicast_distances": (_list_of(
+            _list_of(_NUMBER), "a nonempty list of nonempty lists of numbers"),
+            None),
+    },
+    "physical": {key: (_NUMBER, _REQUIRED) for key in (
+        "bandwidth_hz", "noise_psd_dbm_per_hz", "dl_power_watts",
+        "pilot_energy_joules")},
+    "sweep": {
+        "n_points": (_integer(MIN_CONVEXITY_POINTS), 21),
+        "antenna_counts": (_list_of(_COUNT), [50, 100, 200]),
+    },
+    "montecarlo": {
+        "n_realizations": (_integer(MIN_REALIZATIONS), 20000),
+        "seed": (_integer(0), 1),
+        "n_workers": (_COUNT, 1),
+        "unicast_power_fraction": (
+            (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+            0.5),
+    },
+    "output": {
+        "directory": ((lambda v: isinstance(v, str) and v != "",
+                       "a nonempty string"), "out"),
+    },
+}
+
+
+def _resolve(block, name: str) -> dict:
+    """Check one block against its rows of ``_FIELDS``; return a copy with the
+    defaults filled in."""
+    if not isinstance(block, dict):
+        raise ConfigError(name, f"{name} must be a mapping")
+    rows = _FIELDS[name]
+    for key in block:
+        if key not in rows:
+            raise ConfigError(f"{name}.{key}", "unknown key")
+    resolved = {}
+    for key, ((test, valid), default) in rows.items():
+        if key in block:
+            if not test(block[key]):
+                raise ConfigError(f"{name}.{key}", f"{key} must be {valid}")
+            resolved[key] = block[key]
+        elif default is _REQUIRED:
+            raise ConfigError(f"{name}.{key}", "missing required field")
+        elif default is not None:
+            resolved[key] = copy.deepcopy(default)
+    return resolved
+
+
+def _need(sc: dict, *keys: str):
+    """Fields optional on their own but required on the path that was taken."""
+    for key in keys:
+        if key not in sc:
+            raise ConfigError(f"scenario.{key}", "missing required field")
 
 
 @dataclass
@@ -198,86 +237,56 @@ class ExperimentConfig:
         }
 
 
-def _as_list(value, length: int, field: str) -> list:
-    if isinstance(value, (int, float)):
-        return [float(value)] * length
-    if isinstance(value, list) and len(value) == length:
-        return [float(v) for v in value]
-    raise ConfigError(field, f"must be a scalar or a list of length {length}")
-
-
 def load_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config mapping and resolve all derived quantities."""
-    if not isinstance(raw, dict):
-        raise ConfigError("<root>", "config must be a mapping")
-    for key in raw:
-        if key not in ("scenario", "sweep", "montecarlo", "output"):
-            raise ConfigError(key, "unknown key")
-    sc = dict(_require(raw, "<root>", "scenario"))
-    _check_keys(sc, "scenario")
-    sweep = dict(raw.get("sweep", DEFAULT_CONFIG["sweep"]))
-    _check_keys(sweep, "sweep")
-    _check_sweep(sweep)
-    mc = dict(raw.get("montecarlo", DEFAULT_CONFIG["montecarlo"]))
-    _check_keys(mc, "montecarlo")
-    _check_montecarlo(mc)
-    out = dict(raw.get("output", DEFAULT_CONFIG["output"]))
-    _check_keys(out, "output")
+    """Validate a raw config mapping, fill its defaults and resolve all
+    derived quantities."""
+    root = _resolve(raw, "<root>")
+    sc, sweep, mc, out = (_resolve(root[name], name)
+                          for name in ("scenario", "sweep", "montecarlo",
+                                       "output"))
 
-    n_unicast = int(_require(sc, "scenario", "n_unicast"))
-    n_groups = int(_require(sc, "scenario", "n_groups"))
-    group_sizes = _require(sc, "scenario", "group_sizes")
-    if isinstance(group_sizes, int):
-        group_sizes = [group_sizes] * n_groups
-    sc["group_sizes"] = [int(k) for k in group_sizes]
-    _require(sc, "scenario", "coherence_symbols")
-    sc.setdefault("n_antennas", DEFAULT_CONFIG["scenario"]["n_antennas"])
-    # the fading model needs each of these finite and positive
-    for key in ("cell_radius_m", "exclusion_radius_m", "pathloss_exponent",
-                "attenuation_const"):
-        value = sc.setdefault(key, DEFAULT_CONFIG["scenario"][key])
-        if not _is_number(value) or not 0.0 < value < math.inf:
-            raise ConfigError(f"scenario.{key}",
-                              "must be a finite positive number")
+    n_unicast, n_groups = sc["n_unicast"], sc["n_groups"]
+    if isinstance(sc["group_sizes"], int):
+        sc["group_sizes"] = [sc["group_sizes"]] * n_groups
+    sizes = sc["group_sizes"]
 
     # power and pilot energy: physical block or normalized values directly
     if "physical" in sc:
-        _check_keys(sc["physical"], "physical")
-        for key in _SCHEMA["physical"]:
-            _require(sc["physical"], "physical", key)
+        sc["physical"] = _resolve(sc["physical"], "physical")
         try:
-            phys = PhysicalUnits(**sc["physical"])
-        except (TypeError, ValueError) as exc:
+            total_power, energy = normalize_units(
+                PhysicalUnits(**sc["physical"]))
+        # ArithmeticError: the noise density over- or underflows a float
+        except (ValueError, ArithmeticError) as exc:
             raise ConfigError("physical", str(exc))
-        total_power, energy = normalize_units(phys)
-        uni_budgets = [energy] * n_unicast
-        multi_budgets = [[energy] * k for k in sc["group_sizes"]]
+        uni = multi = energy
     else:
-        total_power = float(_require(sc, "scenario", "total_dl_power"))
-        uni_budgets = _as_list(
-            _require(sc, "scenario", "unicast_energy_budgets"),
-            n_unicast, "scenario.unicast_energy_budgets",
-        )
-        mb = _require(sc, "scenario", "multicast_energy_budgets")
-        if isinstance(mb, (int, float)):
-            mb = [mb] * len(sc["group_sizes"])
-        if not isinstance(mb, list) or len(mb) != len(sc["group_sizes"]):
-            raise ConfigError("scenario.multicast_energy_budgets",
-                              "multicast_energy_budgets must be a scalar or "
-                              "have one entry per group")
-        multi_budgets = [_as_list(g, k, "scenario.multicast_energy_budgets")
-                         for g, k in zip(mb, sc["group_sizes"])]
+        _need(sc, "total_dl_power", "unicast_energy_budgets",
+              "multicast_energy_budgets")
+        total_power = float(sc["total_dl_power"])
+        uni = sc["unicast_energy_budgets"]
+        multi = sc["multicast_energy_budgets"]
+    if not isinstance(multi, list):
+        multi = [multi] * len(sizes)
+    if len(multi) != len(sizes):
+        raise ConfigError("scenario.multicast_energy_budgets",
+                          "multicast_energy_budgets must be a scalar or "
+                          "have one entry per group")
 
     try:
         system = SystemConfig(
             n_antennas=sc["n_antennas"],
             n_unicast=n_unicast,
             n_groups=n_groups,
-            group_sizes=sc["group_sizes"],
+            group_sizes=sizes,
             coherence_symbols=sc["coherence_symbols"],
             total_dl_power=total_power,
-            unicast_energy_budgets=uni_budgets,
-            multicast_energy_budgets=multi_budgets,
+            unicast_energy_budgets=uni if isinstance(uni, list)
+            else [uni] * n_unicast,
+            multicast_energy_budgets=[
+                g if isinstance(g, list) else [g] * k
+                for g, k in zip(multi, sizes)
+            ],
             unicast_weights=sc.get("unicast_weights"),
         )
     except ValueError as exc:
@@ -285,34 +294,33 @@ def load_config(raw: dict) -> ExperimentConfig:
 
     # geometry: explicit distances win over a drop seed
     if "unicast_distances" in sc or "multicast_distances" in sc:
+        _need(sc, "unicast_distances", "multicast_distances")
         try:
             geometry = CellGeometry(
-                unicast_distances=_require(sc, "scenario", "unicast_distances"),
-                multicast_distances=_require(sc, "scenario",
-                                             "multicast_distances"),
+                unicast_distances=sc["unicast_distances"],
+                multicast_distances=sc["multicast_distances"],
                 cell_radius=sc["cell_radius_m"],
                 exclusion_radius=sc["exclusion_radius_m"],
             )
         except ValueError as exc:
             raise ConfigError("scenario.unicast_distances", str(exc))
     elif "seed" in sc:
-        if not sc["exclusion_radius_m"] < sc["cell_radius_m"]:
-            raise ConfigError("scenario.exclusion_radius_m",
-                              "must be smaller than scenario.cell_radius_m")
         try:
-            geometry = place_users(
-                system, sc["cell_radius_m"], sc["exclusion_radius_m"],
-                sc["seed"],
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("scenario.seed", str(exc))
+            geometry = place_users(system, sc["cell_radius_m"],
+                                   sc["exclusion_radius_m"], sc["seed"])
+        except ValueError as exc:
+            raise ConfigError("scenario.exclusion_radius_m", str(exc))
     else:
         raise ConfigError(
             "scenario.seed", "either a seed or explicit distances are required"
         )
-    profile = LargeScaleProfile.from_geometry(
-        geometry, sc["pathloss_exponent"], sc["attenuation_const"]
-    )
+    try:
+        profile = LargeScaleProfile.from_geometry(
+            geometry, sc["pathloss_exponent"], sc["attenuation_const"]
+        )
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError("scenario", "pathloss_exponent and "
+                          f"attenuation_const give unusable fading: {exc}")
 
     return ExperimentConfig(
         scenario=sc, sweep=sweep, montecarlo=mc, output=out,
@@ -384,12 +392,9 @@ def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
     if not cfg.total_dl_power > 0.0:
         raise ConfigError("scenario.total_dl_power",
                           "a sweep needs a positive total downlink power")
-    n_points = args.points if args.points is not None else cfg.sweep.get(
-        "n_points", DEFAULT_CONFIG["sweep"]["n_points"]
-    )
-    counts = [args.n] if args.n is not None else cfg.sweep.get(
-        "antenna_counts", DEFAULT_CONFIG["sweep"]["antenna_counts"]
-    )
+    n_points = args.points if args.points is not None \
+        else cfg.sweep["n_points"]
+    counts = [args.n] if args.n is not None else cfg.sweep["antenna_counts"]
     points_by_n, rows, convexity = {}, [], {}
     for n in counts:
         system = cfg.system(n_antennas=n)
@@ -399,13 +404,7 @@ def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
         if not all(math.isfinite(x) for row in new_rows for x in row[1:]):
             raise ConfigError("scenario", _NON_FINITE)
         rows += new_rows
-        report = check_convexity(points)
-        convexity[str(n)] = {
-            "is_consistent": report.is_consistent,
-            "max_violation": report.max_violation,
-            "slope_violation": report.slope_violation,
-            "dominance_violation": report.dominance_violation,
-        }
+        convexity[str(n)] = asdict(check_convexity(points))
     rows.sort(key=lambda r: (r[0], r[1]))
     prov = cfg.provenance()
     # the JSON check for non-finite values runs before any file is written
@@ -423,9 +422,9 @@ def _split_from_args(cfg: ExperimentConfig, args) -> tuple[float, float]:
     elif getattr(args, "p_mu", None) is not None:
         p_un = P - args.p_mu
     else:
-        p_un = cfg.montecarlo.get("unicast_power_fraction", 0.5) * P
+        p_un = cfg.montecarlo["unicast_power_fraction"] * P
     p_mu = P - p_un
-    if p_un < 0 or p_mu < 0:
+    if not (p_un >= 0 and p_mu >= 0):  # NaN fails too
         raise InfeasibleAllocationError(
             f"power split p_un={p_un!r}, p_mu={p_mu!r} violates the total "
             f"downlink power constraint P_un + P_mu <= P with P={P!r}"
@@ -433,50 +432,24 @@ def _split_from_args(cfg: ExperimentConfig, args) -> tuple[float, float]:
     return p_un, p_mu
 
 
-def _solution_payload(cfg: ExperimentConfig, p_un: float, p_mu: float,
-                      which: str, n_antennas: int | None) -> dict:
-    system = cfg.system(n_antennas=n_antennas)
-    if which == "mmf":
+def _cmd_solve(cfg: ExperimentConfig, args, out_dir: Path) -> int:
+    """``mmf`` or ``wsse``: one solver run, its solution's fields written."""
+    p_un, p_mu = _split_from_args(cfg, args)
+    system = cfg.system(n_antennas=args.n)
+    if args.command == "mmf":
         sol = solve_mmf(system, cfg.profile, p_un)
-        body = {
-            "objective_bits_per_s_per_hz": sol.objective,
-            "common_sinr": sol.common_sinr,
-            "q_dl": sol.q_dl,
-            "q_up": sol.q_up.tolist(),
-            "tau": sol.tau,
-            "upsilon": sol.upsilon,
-            "x_star": sol.x_star.tolist(),
-        }
     else:
         sol = solve_wsse(system, cfg.profile, p_mu)
-        body = {
-            "objective_bits_per_s_per_hz": sol.objective,
-            "p_dl": sol.p_dl,
-            "p_up": sol.p_up,
-            "tau": sol.tau,
-            "water_level_nu": sol.water_level_nu,
-            "vartheta_star": sol.vartheta_star,
-        }
-    return {
+    body = {f.name: getattr(sol, f.name) for f in fields(sol)}
+    body["objective_bits_per_s_per_hz"] = body.pop("objective")
+    _write_json(out_dir / f"{args.command}_solution.json", {
         "provenance": cfg.provenance(),
         "n_antennas": system.n_antennas,
         "p_un": p_un,
         "p_mu": p_mu,
-        "solution": body,
-    }
-
-
-def _cmd_mmf(cfg, args, out_dir: Path) -> int:
-    p_un, p_mu = _split_from_args(cfg, args)
-    _write_json(out_dir / "mmf_solution.json",
-                _solution_payload(cfg, p_un, p_mu, "mmf", args.n))
-    return 0
-
-
-def _cmd_wsse(cfg, args, out_dir: Path) -> int:
-    p_un, p_mu = _split_from_args(cfg, args)
-    _write_json(out_dir / "wsse_solution.json",
-                _solution_payload(cfg, p_un, p_mu, "wsse", args.n))
+        "solution": {k: v.tolist() if isinstance(v, Grouped) else v
+                     for k, v in body.items()},
+    })
     return 0
 
 
@@ -489,13 +462,10 @@ def _cmd_validate(cfg, args, out_dir: Path) -> int:
         p_dl=wsse.p_dl, q_dl=mmf.q_dl, p_up=wsse.p_up, q_up=mmf.q_up,
         tau=system.n_pilots,
     )
-    mc = cfg.montecarlo
-    seed = args.seed if args.seed is not None else mc.get("seed", 1)
+    mc = cfg.montecarlo  # main writes a --seed override into it
     report = empirical_sinr(
-        system, cfg.profile, alloc,
-        n_realizations=int(mc.get("n_realizations", 20000)),
-        seed=int(seed),
-        n_workers=int(mc.get("n_workers", 1)),
+        system, cfg.profile, alloc, n_realizations=mc["n_realizations"],
+        seed=mc["seed"], n_workers=mc["n_workers"],
     )
     _write_json(out_dir / "montecarlo_report.json",
                 {"provenance": cfg.provenance(), "p_un": p_un, "p_mu": p_mu,
@@ -514,28 +484,33 @@ _ORACLE_SUITE = [
 def _cmd_oracle_check(cfg, args, out_dir: Path) -> int:
     results, ok = [], True
     for spec in _ORACLE_SUITE:
-        system = SystemConfig(
-            n_antennas=64,
-            n_unicast=spec["n_unicast"],
-            n_groups=spec["n_groups"],
-            group_sizes=spec["group_sizes"],
-            coherence_symbols=cfg.scenario["coherence_symbols"],
-            total_dl_power=cfg.total_dl_power,
-            unicast_energy_budgets=[cfg.unicast_energy_budgets[0]]
-            * spec["n_unicast"],
-            multicast_energy_budgets=[
-                [cfg.multicast_energy_budgets[0][0]] * k
-                for k in spec["group_sizes"]
-            ],
-        )
-        geometry = place_users(
-            system, cfg.scenario["cell_radius_m"],
-            cfg.scenario["exclusion_radius_m"], spec["drop_seed"],
-        )
-        profile = LargeScaleProfile.from_geometry(
-            geometry, cfg.scenario["pathloss_exponent"],
-            cfg.scenario["attenuation_const"],
-        )
+        # the tiny instances take the config's T, power, budgets and fading
+        try:
+            system = SystemConfig(
+                n_antennas=64,
+                n_unicast=spec["n_unicast"],
+                n_groups=spec["n_groups"],
+                group_sizes=spec["group_sizes"],
+                coherence_symbols=cfg.scenario["coherence_symbols"],
+                total_dl_power=cfg.total_dl_power,
+                unicast_energy_budgets=[cfg.unicast_energy_budgets[0]]
+                * spec["n_unicast"],
+                multicast_energy_budgets=[
+                    [cfg.multicast_energy_budgets[0][0]] * k
+                    for k in spec["group_sizes"]
+                ],
+            )
+            geometry = place_users(
+                system, cfg.scenario["cell_radius_m"],
+                cfg.scenario["exclusion_radius_m"], spec["drop_seed"],
+            )
+            profile = LargeScaleProfile.from_geometry(
+                geometry, cfg.scenario["pathloss_exponent"],
+                cfg.scenario["attenuation_const"],
+            )
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError("scenario",
+                              f"oracle-check instance {spec}: {exc}")
         P = system.total_dl_power
         mmf = solve_mmf(system, profile, p_un=0.3 * P)
         mmf_oracle = brute_force_oracle(system, profile, "mmf", 400,
@@ -593,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "pareto": _cmd_pareto,
-    "mmf": _cmd_mmf,
-    "wsse": _cmd_wsse,
+    "mmf": _cmd_solve,
+    "wsse": _cmd_solve,
     "validate": _cmd_validate,
     "oracle-check": _cmd_oracle_check,
 }
@@ -606,8 +581,9 @@ def main(argv=None) -> int:
         if args.n is not None and args.n < 1:
             raise ConfigError("--n", "antenna count must be a positive "
                               "integer")
-        if args.points is not None and args.points < 2:
-            raise ConfigError("--points", "a sweep needs at least 2 points")
+        if args.points is not None and args.points < MIN_CONVEXITY_POINTS:
+            raise ConfigError("--points", "a sweep needs at least "
+                              f"{MIN_CONVEXITY_POINTS} points")
         raw = _read_raw_config(args.config)
         if args.seed is not None:
             raw.setdefault("scenario", {})["seed"] = args.seed
@@ -615,14 +591,14 @@ def main(argv=None) -> int:
             raw["scenario"].pop("unicast_distances", None)
             raw["scenario"].pop("multicast_distances", None)
         cfg = load_config(raw)
-        out_dir = Path(args.out or cfg.output.get("directory", "out"))
+        out_dir = Path(args.out or cfg.output["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args, out_dir)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "field": exc.field,
                           "message": exc.message}), file=sys.stderr)
         return 2
-    except (InfeasibleAllocationError, ValueError) as exc:
+    except InfeasibleAllocationError as exc:
         print(json.dumps({"error": "infeasible", "message": str(exc)}),
               file=sys.stderr)
         return 3

@@ -26,6 +26,9 @@ from .scenario import Grouped, LargeScaleProfile, SystemConfig
 
 LN2 = math.log(2.0)
 
+# fewest boundary points check_convexity can judge (two consecutive slopes)
+MIN_CONVEXITY_POINTS = 3
+
 
 class OracleInstanceTooLarge(ValueError):
     """Brute-force oracle refused an instance that would not finish quickly."""
@@ -214,8 +217,8 @@ def check_convexity(
     non-increasing) and that midpoints of all boundary-point pairs are weakly
     dominated by the piecewise-linear boundary itself.
     """
-    if len(points) < 3:
-        raise ValueError("need at least 3 points")
+    if len(points) < MIN_CONVEXITY_POINTS:
+        raise ValueError(f"need at least {MIN_CONVEXITY_POINTS} points")
     p_un = [pt.p_un for pt in points]
     if any(b <= a for a, b in zip(p_un, p_un[1:])):
         raise ValueError("points must be sorted by strictly increasing p_un")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,7 +104,8 @@ class SystemConfig:
     group_sizes : list[int]
         Users per multicast group, length ``n_groups``.
     coherence_symbols : int
-        Symbols per coherence interval.
+        Symbols per coherence interval; more than the n_unicast + n_groups
+        pilot symbols, so that some are left for data.
     total_dl_power : float
         Total downlink power budget, noise-normalized.  Zero is allowed as a
         documented degenerate case (solvers return all-zero allocations).
@@ -143,8 +144,9 @@ class SystemConfig:
             raise ValueError("group_sizes must have length n_groups")
         if any(k < 1 for k in self.group_sizes):
             raise ValueError("group_sizes entries must be positive")
-        if self.coherence_symbols < 1:
-            raise ValueError("coherence_symbols must be a positive integer")
+        if self.coherence_symbols <= self.n_pilots:
+            raise ValueError("coherence_symbols must exceed the pilot length "
+                             f"n_unicast + n_groups = {self.n_pilots}")
         if not 0 <= self.total_dl_power < math.inf:
             raise ValueError("total_dl_power must be finite and nonnegative")
         self.layout = GroupLayout(self.group_sizes)
@@ -263,12 +265,12 @@ class PhysicalUnits:
     pilot_energy_joules: float
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
-        if self.dl_power_watts <= 0:
-            raise ValueError("dl_power_watts must be positive")
-        if self.pilot_energy_joules <= 0:
-            raise ValueError("pilot_energy_joules must be positive")
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("bandwidth_hz", "dl_power_watts", "pilot_energy_joules"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 def dbm_per_hz_to_watts_per_hz(value_dbm: float) -> float:

@@ -119,6 +119,22 @@ class TestConfigLoading:
         ("scenario", "pathloss_exponent", float("nan"),
          "scenario.pathloss_exponent"),
         ("scenario", "attenuation_const", 0.0, "scenario.attenuation_const"),
+        ("scenario", "n_unicast", "abc", "scenario.n_unicast"),
+        ("scenario", "group_sizes", "x", "scenario.group_sizes"),
+        ("scenario", "coherence_symbols", "200", "scenario.coherence_symbols"),
+        ("scenario", "unicast_weights", 2.0, "scenario.unicast_weights"),
+        ("scenario", "unicast_distances", 100.0, "scenario.unicast_distances"),
+        ("output", "directory", 5, "output.directory"),
+        ("scenario", "n_antennas", 64.5, "scenario.n_antennas"),
+        ("scenario", "coherence_symbols", 2.5, "scenario.coherence_symbols"),
+        ("scenario", "n_groups", 1.5, "scenario.n_groups"),
+        ("scenario", "n_unicast", True, "scenario.n_unicast"),
+        ("scenario", "coherence_symbols", 3, "scenario"),
+        ("physical", "noise_psd_dbm_per_hz", float("nan"), "physical"),
+        ("physical", "bandwidth_hz", float("inf"), "physical"),
+        ("scenario", "attenuation_const", 1e-320, "scenario"),
+        ("scenario", "pathloss_exponent", 400, "scenario"),
+        ("sweep", "n_points", 2, "sweep.n_points"),
     ])
     def test_invalid_value_exits_2_naming_field(
             self, tmp_path, capsys, block, key, value, field):
@@ -135,6 +151,16 @@ class TestConfigLoading:
         assert err["error"] == "config"
         assert err["field"] == field
         assert key in err["field"] + err["message"]
+
+    def test_provenance_carries_filled_defaults(self):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        del raw["sweep"], raw["output"]
+        prov = load_config(raw).provenance()
+        assert prov["montecarlo"]["unicast_power_fraction"] == 0.5
+        assert prov["sweep"] == {"n_points": 21,
+                                 "antenna_counts": [50, 100, 200]}
+        assert prov["output"] == {"directory": "out"}
+        assert prov["scenario"]["pathloss_exponent"] == 3.76
 
     def test_normalized_default_power(self):
         cfg = load_config_file(None)
@@ -169,7 +195,7 @@ class TestPareto:
                 if not l.startswith("#")]
         assert len(data) == 1 + 7
 
-    @pytest.mark.parametrize("points", ["0", "1"])
+    @pytest.mark.parametrize("points", ["0", "1", "2"])
     def test_points_below_two_rejected(self, config_path, tmp_path, capsys,
                                        points):
         code = main(["pareto", "--config", config_path, "--out",
@@ -227,6 +253,29 @@ class TestSolverCommands:
         assert err["error"] == "config"
         assert err["field"] == "--n"
         assert not (tmp_path / "run").exists()
+
+    def test_internal_error_is_not_reported_as_infeasible(
+            self, config_path, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal")
+        monkeypatch.setattr("mmjoint.cli.solve_mmf", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["mmf", "--config", config_path, "--out",
+                  str(tmp_path / "run")])
+
+    def test_oracle_instances_need_a_longer_coherence_interval(
+            self, tmp_path, capsys):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["scenario"].update(n_unicast=1, coherence_symbols=4)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["oracle-check", "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["field"] == "scenario"
+        assert "coherence_symbols" in err["message"]
+        assert list(out.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["mmf", "--config", str(tmp_path / "nope.json"),

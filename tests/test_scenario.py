@@ -29,6 +29,13 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_system(energy=0.0)
 
+    def test_coherence_interval_must_exceed_pilot_length(self):
+        # U + G = 3 pilots: T = 3 leaves no data symbol
+        for t in (2, 3):
+            with pytest.raises(ValueError, match="coherence_symbols"):
+                make_system(coherence_symbols=t)
+        assert make_system(coherence_symbols=4).prelog(3) == 0.25
+
     def test_weights_default_to_ones(self):
         assert make_system(n_unicast=4).unicast_weights == [1.0] * 4
 
@@ -126,6 +133,14 @@ class TestNormalizeUnits:
         )
         power, _ = normalize_units(phys)
         assert power == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, index, value):
+        args = [20e6, -174.0, 10.0, 2e-6]
+        args[index] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            PhysicalUnits(*args)
 
     @given(st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=25)
