@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .closed_form import InfeasibleAllocationError, PowerAllocation
-from .montecarlo import MIN_REALIZATIONS, empirical_sinr
+from .montecarlo import MIN_REALIZATIONS, empirical_sinr, usable_cpus
 from .optimizers import (
     MIN_CONVEXITY_POINTS,
     brute_force_oracle,
@@ -104,8 +106,9 @@ _NONNEGATIVE = (lambda v: _is_number(v) and 0.0 <= v < math.inf,
                 "a finite number >= 0")
 
 # block -> key -> (kind, default); a default of None leaves an absent field
-# absent.  Rules that join fields (list lengths, the radii's order, distances
-# inside the cell, the physical ranges, the pilot length below the coherence
+# absent, and a callable default is called each time the block is resolved.
+# Rules that join fields (list lengths, the radii's order, distances inside
+# the cell, the physical ranges, the pilot length below the coherence
 # interval) live in the dataclasses of ``scenario``.
 _FIELDS = {
     "<root>": {"scenario": (_MAPPING, _REQUIRED), "sweep": (_MAPPING, {}),
@@ -143,7 +146,7 @@ _FIELDS = {
     "montecarlo": {
         "n_realizations": (_integer(MIN_REALIZATIONS), 20000),
         "seed": (_integer(0), 1),
-        "n_workers": (_COUNT, 1),
+        "n_workers": (_COUNT, usable_cpus),
         "unicast_power_fraction": (
             (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
             0.5),
@@ -172,6 +175,8 @@ def _resolve(block, name: str) -> dict:
             resolved[key] = block[key]
         elif default is _REQUIRED:
             raise ConfigError(f"{name}.{key}", "missing required field")
+        elif callable(default):
+            resolved[key] = default()
         elif default is not None:
             resolved[key] = copy.deepcopy(default)
     return resolved
@@ -237,10 +242,17 @@ class ExperimentConfig:
         }
 
 
-def load_config(raw: dict) -> ExperimentConfig:
+def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Validate a raw config mapping, fill its defaults and resolve all
-    derived quantities."""
-    root = _resolve(raw, "<root>")
+    derived quantities.
+
+    ``overrides`` maps block -> key -> value; each value replaces the raw
+    one (None removes the key) before the block is checked.
+    """
+    root = _resolve(raw, "<root>")  # every block is now a mapping
+    for name, changes in (overrides or {}).items():
+        merged = {**root[name], **changes}
+        root[name] = {k: v for k, v in merged.items() if v is not None}
     sc, sweep, mc, out = (_resolve(root[name], name)
                           for name in ("scenario", "sweep", "montecarlo",
                                        "output"))
@@ -348,13 +360,30 @@ def _provenance_lines(provenance: dict) -> list[str]:
     return ["# " + json.dumps(provenance, sort_keys=True)]
 
 
+def _write_atomic(path: Path, chunks):
+    """Write the text ``chunks`` into a sibling ``.partial`` file that
+    replaces ``path`` once complete, so ``path`` never holds part of a write.
+    The ``.partial`` file is removed if anything fails."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with partial.open("w") as fh:
+            fh.writelines(chunks)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def _write_lines(path: Path, lines: list[str]):
+    _write_atomic(path, ["\n".join(lines) + "\n"])
+
+
 def write_pareto_csv(path: Path, rows: list[tuple], provenance: dict):
     """CSV with header N,p_un,p_mu,o_mu,o_un; provenance as '#' comments."""
     lines = _provenance_lines(provenance)
     lines.append("N,p_un,p_mu,o_mu,o_un")
     for n, p_un, p_mu, o_mu, o_un in rows:
         lines.append(f"{n},{p_un:.17e},{p_mu:.17e},{o_mu:.17e},{o_un:.17e}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def emit_plotdata(
@@ -377,28 +406,27 @@ def emit_plotdata(
             total = points[0].p_un + points[0].p_mu
             pt = min(points, key=lambda p: abs(p.p_un - ratio * total))
             lines.append(f"{pt.o_mu:.17e}\t{pt.o_un:.17e}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _write_json(path: Path, payload: dict):
+    """Indented JSON, encoded piece by piece straight into the file."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
+        _write_atomic(path, itertools.chain(encoder.iterencode(payload),
+                                            ["\n"]))
+    except ValueError:  # the encoder refuses NaN and infinity
         raise ConfigError("scenario", _NON_FINITE)
-    path.write_text(text + "\n")
 
 
 def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
     if not cfg.total_dl_power > 0.0:
         raise ConfigError("scenario.total_dl_power",
                           "a sweep needs a positive total downlink power")
-    n_points = args.points if args.points is not None \
-        else cfg.sweep["n_points"]
-    counts = [args.n] if args.n is not None else cfg.sweep["antenna_counts"]
     points_by_n, rows, convexity = {}, [], {}
-    for n in counts:
+    for n in cfg.sweep["antenna_counts"]:
         system = cfg.system(n_antennas=n)
-        points = pareto_sweep(system, cfg.profile, n_points)
+        points = pareto_sweep(system, cfg.profile, cfg.sweep["n_points"])
         points_by_n[n] = points
         new_rows = [(n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un) for pt in points]
         if not all(math.isfinite(x) for row in new_rows for x in row[1:]):
@@ -435,7 +463,7 @@ def _split_from_args(cfg: ExperimentConfig, args) -> tuple[float, float]:
 def _cmd_solve(cfg: ExperimentConfig, args, out_dir: Path) -> int:
     """``mmf`` or ``wsse``: one solver run, its solution's fields written."""
     p_un, p_mu = _split_from_args(cfg, args)
-    system = cfg.system(n_antennas=args.n)
+    system = cfg.system()
     if args.command == "mmf":
         sol = solve_mmf(system, cfg.profile, p_un)
     else:
@@ -455,14 +483,14 @@ def _cmd_solve(cfg: ExperimentConfig, args, out_dir: Path) -> int:
 
 def _cmd_validate(cfg, args, out_dir: Path) -> int:
     p_un, p_mu = _split_from_args(cfg, args)
-    system = cfg.system(n_antennas=args.n)
+    system = cfg.system()
     mmf = solve_mmf(system, cfg.profile, p_un)
     wsse = solve_wsse(system, cfg.profile, p_mu)
     alloc = PowerAllocation(
         p_dl=wsse.p_dl, q_dl=mmf.q_dl, p_up=wsse.p_up, q_up=mmf.q_up,
         tau=system.n_pilots,
     )
-    mc = cfg.montecarlo  # main writes a --seed override into it
+    mc = cfg.montecarlo
     report = empirical_sinr(
         system, cfg.profile, alloc, n_realizations=mc["n_realizations"],
         seed=mc["seed"], n_workers=mc["n_workers"],
@@ -566,6 +594,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overrides(args) -> dict:
+    """The command-line overrides as ``load_config`` takes them, so that
+    ``provenance`` records what is computed."""
+    overrides = {"scenario": {}, "sweep": {}, "montecarlo": {}}
+    if args.seed is not None:
+        # a new drop replaces explicit distances
+        overrides["scenario"].update(seed=args.seed, unicast_distances=None,
+                                     multicast_distances=None)
+        overrides["montecarlo"]["seed"] = args.seed
+    if args.n is not None:
+        overrides["scenario"]["n_antennas"] = args.n
+        overrides["sweep"]["antenna_counts"] = [args.n]
+    if args.points is not None:
+        overrides["sweep"]["n_points"] = args.points
+    return overrides
+
+
 _COMMANDS = {
     "pareto": _cmd_pareto,
     "mmf": _cmd_solve,
@@ -584,13 +629,7 @@ def main(argv=None) -> int:
         if args.points is not None and args.points < MIN_CONVEXITY_POINTS:
             raise ConfigError("--points", "a sweep needs at least "
                               f"{MIN_CONVEXITY_POINTS} points")
-        raw = _read_raw_config(args.config)
-        if args.seed is not None:
-            raw.setdefault("scenario", {})["seed"] = args.seed
-            raw.setdefault("montecarlo", {})["seed"] = args.seed
-            raw["scenario"].pop("unicast_distances", None)
-            raw["scenario"].pop("multicast_distances", None)
-        cfg = load_config(raw)
+        cfg = load_config(_read_raw_config(args.config), _overrides(args))
         out_dir = Path(args.out or cfg.output["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, args, out_dir)

@@ -17,10 +17,22 @@ for the noise, per pilot (the U unicast pilots, then the G group pilots);
 within a row the real and imaginary parts of the N antennas alternate.
 This layout replaced a per-group draw order, so reports at a given seed
 differ from those of earlier versions.
+
+Working set: each chunk of realizations allocates its buffers once (the
+channel normals, the received amplitudes ``h [V W]^*``, their powers and the
+squared powers) and every realization of the chunk overwrites them.  The
+group composites are one matmul of a (G, sum K_g) matrix of scaled pilot
+amplitudes with the member channels, real and imaginary parts side by side,
+so no weighted copy of the member channels is made.  Finished chunks are
+folded into the running total in chunk order as they arrive.  By default
+one worker thread runs per CPU the process may use (``usable_cpus``); numpy
+releases the GIL in the normal fill and the matmuls, so the threads scale.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,6 +43,15 @@ from .scenario import GroupLayout, Grouped, LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
 MIN_REALIZATIONS = 100
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU.  The default number of Monte Carlo workers."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -79,23 +100,29 @@ class ChannelEstimates:
                 in zip(self.q_up, self.eta, self.g_hat_composite)]
 
 
-def _crandn(rng: np.random.Generator, std: np.ndarray, n: int) -> np.ndarray:
+def _crandn(rng: np.random.Generator, std: np.ndarray, n: int,
+            out: np.ndarray | None = None) -> np.ndarray:
     """Rows of circularly-symmetric complex Gaussians, row r CN(0, std_r^2 I).
 
     One ``standard_normal`` call fills all rows, real and imaginary parts
-    interleaved.
+    interleaved, into ``out`` (a float (rows, 2n) array) if it is given.
     """
-    x = rng.standard_normal((len(std), 2 * n))
+    x = rng.standard_normal((len(std), 2 * n), out=out)
     x *= np.sqrt(0.5) * std[:, None]
     return x.view(np.complex128)
 
 
 def draw_channels(
-    profile: LargeScaleProfile, config: SystemConfig, rng: np.random.Generator
+    profile: LargeScaleProfile, config: SystemConfig, rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> ChannelRealization:
-    """i.i.d. Rayleigh channels with per-antenna variances beta / eta."""
+    """i.i.d. Rayleigh channels with per-antenna variances beta / eta.
+
+    ``out``, a float (U + sum K_g, 2N) array, receives the draw; the
+    realization's ``h`` is then a view of it.
+    """
     config.check_users("profile", len(profile.beta), profile.eta)
-    h = _crandn(rng, np.sqrt(profile.fading), config.n_antennas)
+    h = _crandn(rng, np.sqrt(profile.fading), config.n_antennas, out)
     return ChannelRealization(h=h, n_unicast=config.n_unicast,
                               layout=config.layout)
 
@@ -116,6 +143,7 @@ def estimate_channels(
     tau = alloc.tau
     U, N = realization.f.shape
     starts = realization.layout.starts
+    group = realization.layout.member_group
     # one scale per pilot: the U unicast pilots, then the G group pilots
     scale = np.empty(U + len(starts))
 
@@ -134,8 +162,10 @@ def estimate_channels(
     estimates = _crandn(rng, scale, N)
     est = estimates.view(np.float64)
     est[:U] += (scale[:U] * root_p)[:, None] * realization.f.view(np.float64)
-    weighted = root_q[:, None] * realization.h[U:].view(np.float64)
-    est[U:] += scale[U:, None] * np.add.reduceat(weighted, starts, axis=0)
+    # entry [j, k] is s_j/(1+s_j) sqrt(tau q_k) for member k of group j
+    weights = np.zeros((len(starts), len(group)))
+    weights[group, np.arange(len(group))] = scale[U:][group] * root_q
+    est[U:] += weights @ realization.h[U:].view(np.float64)
     return ChannelEstimates(f_hat=estimates[:U],
                             g_hat_composite=estimates[U:], tau=tau,
                             q_up=alloc.q_up, eta=profile.eta)
@@ -238,14 +268,14 @@ class _Accumulator:
         self.sum_cross = np.zeros((n_users, n_cols))
         self.sum_cross_sq = np.zeros((n_users, n_cols))
 
-    def add(self, c, abs2, cross):
+    def add(self, c, abs2, cross, cross_sq):
         self.n += 1
         self.sum_c += c
         self.sum_re2_c += c.real**2
         self.sum_abs2_c += abs2
         self.sum_abs4_c += abs2**2
         self.sum_cross += cross
-        self.sum_cross_sq += cross**2
+        self.sum_cross_sq += cross_sq
 
     def merge(self, other: "_Accumulator"):
         self.n += other.n
@@ -257,17 +287,24 @@ class _Accumulator:
 
 def _run_chunk(config, profile, alloc, stats, own_col, seed, indices):
     users = np.arange(len(own_col))
-    acc = _Accumulator(len(users), config.n_pilots)
+    shape = (len(users), config.n_pilots)
+    acc = _Accumulator(*shape)
+    # overwritten by every realization of the chunk
+    normals = np.empty((len(users), 2 * config.n_antennas))
+    rx = np.empty(shape, dtype=complex)
+    power, square = np.empty(shape), np.empty(shape)
     for i in indices:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        real = draw_channels(profile, config, rng)
+        real = draw_channels(profile, config, rng, out=normals)
         est = estimate_channels(real, alloc, profile, rng)
         V, W = mrt_precoders(est, alloc, stats)
         # entry [m, u] is conj(h_m^H vw_u): conjugating the small precoder
         # matrix instead of the channels keeps the same powers
-        rx = real.h @ np.hstack([V, W]).conj()
-        power = rx.real**2 + rx.imag**2
-        acc.add(rx[users, own_col].conj(), power[users, own_col], power)
+        np.matmul(real.h, np.hstack([V, W]).conj(), out=rx)
+        np.square(rx.real, out=power)
+        power += np.square(rx.imag, out=square)
+        acc.add(rx[users, own_col].conj(), power[users, own_col], power,
+                np.square(power, out=square))
     return acc
 
 
@@ -343,12 +380,12 @@ def empirical_sinr(
     alloc: PowerAllocation,
     n_realizations: int,
     seed: int,
-    n_workers: int = 1,
+    n_workers: int | None = None,
 ) -> MonteCarloReport:
     """Estimate every SINR decomposition term by sample averaging.
 
     Results are bit-identical for fixed (seed, n_realizations) regardless of
-    ``n_workers``.
+    ``n_workers``, which defaults to ``usable_cpus()``.
     """
     if n_realizations < MIN_REALIZATIONS:
         raise ValueError(f"n_realizations must be at least {MIN_REALIZATIONS}")
@@ -367,15 +404,15 @@ def empirical_sinr(
         range(i, min(i + _CHUNK, n_realizations))
         for i in range(0, n_realizations, _CHUNK)
     ]
+    # each chunk's sums are folded into the first chunk's, in chunk order,
+    # as the chunks finish
+    if n_workers is None:
+        n_workers = usable_cpus()
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            accs = list(pool.map(run, chunks))
+            total = functools.reduce(_Accumulator.merge, pool.map(run, chunks))
     else:
-        accs = [run(c) for c in chunks]
-
-    total = accs[0]
-    for acc in accs[1:]:
-        total.merge(acc)
+        total = functools.reduce(_Accumulator.merge, map(run, chunks))
 
     unicast, multicast = _breakdowns(config, profile, alloc, stats, own_col,
                                      total)

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mmjoint.cli import (
     ConfigError,
     DEFAULT_CONFIG,
+    _write_json,
     emit_plotdata,
     load_config,
     load_config_file,
@@ -152,6 +154,33 @@ class TestConfigLoading:
         assert err["field"] == field
         assert key in err["field"] + err["message"]
 
+    @pytest.mark.parametrize("raw, argv, field", [
+        ({"scenario": [1]}, [], "<root>.scenario"),
+        ({"scenario": [1]}, ["--seed", "3"], "<root>.scenario"),
+        ({"scenario": {}, "montecarlo": 5}, ["--seed", "3"],
+         "<root>.montecarlo"),
+        ([1], [], "<root>"),
+        ([1], ["--seed", "3"], "<root>"),
+    ])
+    def test_non_mapping_exits_2_with_or_without_overrides(
+            self, tmp_path, capsys, raw, argv, field):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code = main(["validate", "--config", str(path), "--out",
+                     str(tmp_path / "run"), *argv])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == field
+        assert not (tmp_path / "run").exists()
+
+    def test_default_workers_are_the_usable_cpus(self):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        del raw["montecarlo"]["n_workers"]
+        cfg = load_config(raw)
+        assert cfg.montecarlo["n_workers"] == len(os.sched_getaffinity(0))
+        assert "n_workers" not in cfg.provenance()["montecarlo"]
+
     def test_provenance_carries_filled_defaults(self):
         raw = json.loads(json.dumps(SMALL_CONFIG))
         del raw["sweep"], raw["output"]
@@ -194,6 +223,20 @@ class TestPareto:
         data = [l for l in (out / "pareto.csv").read_text().splitlines()
                 if not l.startswith("#")]
         assert len(data) == 1 + 7
+
+    def test_overrides_recorded_in_provenance(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["pareto", "--config", config_path, "--out", str(out),
+                     "--points", "7", "--n", "64", "--seed", "4"]) == 0
+        for name in ("pareto.csv", "pareto_plotdata.txt"):
+            header = (out / name).read_text().splitlines()[0]
+            prov = json.loads(header.removeprefix("# "))
+            assert prov["sweep"] == {"n_points": 7, "antenna_counts": [64]}
+            assert prov["scenario"]["n_antennas"] == 64
+            assert prov["scenario"]["seed"] == 4
+            assert prov["montecarlo"]["seed"] == 4
+        report = json.loads((out / "convexity_report.json").read_text())
+        assert list(report["convexity"]) == ["64"]
 
     @pytest.mark.parametrize("points", ["0", "1", "2"])
     def test_points_below_two_rejected(self, config_path, tmp_path, capsys,
@@ -317,6 +360,28 @@ class TestPowerBudgetBounds:
         assert list(out.iterdir()) == []
 
 
+class TestWriteJson:
+    def test_failed_write_leaves_earlier_file_and_no_partial(self,
+                                                            tmp_path):
+        path = tmp_path / "report.json"
+        _write_json(path, {"ok": True})
+        good = path.read_bytes()
+        # the encoder has written the list's first entries when it fails
+        with pytest.raises(ConfigError):
+            _write_json(path, {"values": [1.0] * 1000 + [float("nan")]})
+        with pytest.raises(TypeError):
+            _write_json(path, {"values": [1.0] * 1000 + [object()]})
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_same_bytes_as_one_shot_encoding(self, tmp_path):
+        payload = {"b": [1.5, {"z": None, "a": "x"}], "a": 2, "c": []}
+        path = tmp_path / "report.json"
+        _write_json(path, payload)
+        assert path.read_text() == json.dumps(
+            payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 class TestValidate:
     def test_report_written_and_parallel_identical(self, config_path,
                                                    tmp_path):
@@ -335,6 +400,19 @@ class TestValidate:
         assert report["n_realizations"] == 300
         assert len(report["unicast"]) == 2
         assert len(report["multicast"]) == 2
+
+    def test_default_workers_write_the_one_worker_report(self, tmp_path):
+        outs = []
+        for name, workers in (("default", {}), ("one", {"n_workers": 1})):
+            raw = json.loads(json.dumps(SMALL_CONFIG))
+            raw["montecarlo"] = {"n_realizations": 300, "seed": 3, **workers}
+            cfg_path = tmp_path / f"cfg_{name}.json"
+            cfg_path.write_text(json.dumps(raw))
+            out = tmp_path / name
+            assert main(["validate", "--config", str(cfg_path),
+                         "--out", str(out)]) == 0
+            outs.append((out / "montecarlo_report.json").read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestEmitPlotdata:

@@ -1,10 +1,13 @@
 import math
 import multiprocessing
+import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mmjoint import montecarlo
 from mmjoint.closed_form import EstimationStats, PowerAllocation, pilot_scaling
 from mmjoint.montecarlo import (
     draw_channels,
@@ -300,3 +303,36 @@ class TestEmpiricalSinr:
         empirical_sinr(config, profile, alloc, 1500, seed=22, n_workers=4)
         assert threading.active_count() == threads_before
         assert multiprocessing.active_children() == []
+
+    def test_peak_memory_does_not_grow_with_chunk_count(self, monkeypatch):
+        # 208 users and 12 precoders: about 48 KB of sums per chunk
+        config = make_system(n_unicast=8, n_groups=4, group_sizes=(50,) * 4,
+                             n_antennas=8)
+        profile = LargeScaleProfile(beta=[1.0] * 8, eta=[[1.0] * 50] * 4)
+        alloc = PowerAllocation(p_dl=[0.25] * 8, q_dl=[0.5] * 4,
+                                p_up=[0.5] * 8, q_up=[[0.5] * 50] * 4, tau=12)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 100)
+
+        def peak(n_chunks):
+            tracemalloc.start()
+            try:
+                empirical_sinr(config, profile, alloc, 100 * n_chunks,
+                               seed=23, n_workers=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations are not counted
+        few, many = peak(2), peak(10)
+        # holding every chunk's sums until the end adds about 390 KB here
+        assert many < 1.5 * few
+
+    def test_default_workers_are_the_usable_cpus(self, config, profile, alloc,
+                                                 monkeypatch):
+        assert montecarlo.usable_cpus() == len(os.sched_getaffinity(0))
+        default = empirical_sinr(config, profile, alloc, 300, seed=24)
+        one = empirical_sinr(config, profile, alloc, 300, seed=24, n_workers=1)
+        assert default.to_dict() == one.to_dict()
+        # without an affinity call the CPU count is used
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert montecarlo.usable_cpus() == os.cpu_count()
