@@ -17,7 +17,10 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .closed_form import InfeasibleAllocationError, PowerAllocation
@@ -381,8 +384,8 @@ def write_pareto_csv(path: Path, rows: list[tuple], provenance: dict):
     """CSV with header N,p_un,p_mu,o_mu,o_un; provenance as '#' comments."""
     lines = _provenance_lines(provenance)
     lines.append("N,p_un,p_mu,o_mu,o_un")
-    for n, p_un, p_mu, o_mu, o_un in rows:
-        lines.append(f"{n},{p_un:.17e},{p_mu:.17e},{o_mu:.17e},{o_un:.17e}")
+    lines += itertools.starmap("{},{:.17e},{:.17e},{:.17e},{:.17e}".format,
+                               rows)
     _write_lines(path, lines)
 
 
@@ -391,21 +394,25 @@ def emit_plotdata(
     radial_ratios=RADIAL_RATIOS,
 ):
     """Plain tab-delimited plot data: one (o_mu, o_un) series per antenna
-    count, plus radial-line annotations at fixed P_un/P power-split ratios."""
+    count, plus radial-line annotations at fixed P_un/P power-split ratios.
+    A radial line takes the point whose p_un is nearest ratio * P, the lower
+    p_un on a tie."""
     if not points_by_n:
         raise ValueError("no sweep results to emit")
     lines = _provenance_lines(provenance)
     lines.append("# columns: o_mu<TAB>o_un")
+    series = {}  # n -> (p_un array, P, the points' formatted lines)
     for n, points in points_by_n.items():
+        p_un, o_mu, o_un = zip(*((pt.p_un, pt.o_mu, pt.o_un)
+                                 for pt in points))
+        text = list(map("{:.17e}\t{:.17e}".format, o_mu, o_un))
+        series[n] = (np.array(p_un), points[0].p_un + points[0].p_mu, text)
         lines.append(f"# series N={n}")
-        for pt in points:
-            lines.append(f"{pt.o_mu:.17e}\t{pt.o_un:.17e}")
+        lines += text
     for ratio in radial_ratios:
         lines.append(f"# radial P_un/P={ratio}")
-        for n, points in points_by_n.items():
-            total = points[0].p_un + points[0].p_mu
-            pt = min(points, key=lambda p: abs(p.p_un - ratio * total))
-            lines.append(f"{pt.o_mu:.17e}\t{pt.o_un:.17e}")
+        for p_un, total, text in series.values():
+            lines.append(text[np.argmin(np.abs(p_un - ratio * total))])
     _write_lines(path, lines)
 
 
@@ -429,11 +436,11 @@ def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
         points = pareto_sweep(system, cfg.profile, cfg.sweep["n_points"])
         points_by_n[n] = points
         new_rows = [(n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un) for pt in points]
-        if not all(math.isfinite(x) for row in new_rows for x in row[1:]):
+        if not np.all(np.isfinite(new_rows)):
             raise ConfigError("scenario", _NON_FINITE)
         rows += new_rows
         convexity[str(n)] = asdict(check_convexity(points))
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows.sort(key=itemgetter(0, 1))
     prov = cfg.provenance()
     # the JSON check for non-finite values runs before any file is written
     _write_json(out_dir / "convexity_report.json",

@@ -24,13 +24,16 @@ squared powers) and every realization of the chunk overwrites them.  The
 group composites are one matmul of a (G, sum K_g) matrix of scaled pilot
 amplitudes with the member channels, real and imaginary parts side by side,
 so no weighted copy of the member channels is made.  Finished chunks are
-folded into the running total in chunk order as they arrive.  By default
+folded into the running total in chunk order as they arrive.  At most two
+chunks per worker are in flight (submitted and not yet folded), so chunks
+that finish ahead of their turn cannot pile up with their sums.  By default
 one worker thread runs per CPU the process may use (``usable_cpus``); numpy
 releases the GIL in the normal fill and the matmuls, so the threads scale.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -42,6 +45,9 @@ from .closed_form import EstimationStats, PowerAllocation, pilot_scaling
 from .scenario import GroupLayout, Grouped, LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
+# chunks in flight per worker: enough to keep every worker busy while the
+# oldest chunk is folded
+_WINDOW_PER_WORKER = 2
 MIN_REALIZATIONS = 100
 
 
@@ -374,6 +380,23 @@ def _breakdowns(config, profile, alloc, stats, own_col, acc):
     return rows[:U], rows[U:]
 
 
+def _in_order(pool, fn, items, window: int):
+    """``pool.map(fn, items)`` with at most ``window`` calls submitted and
+    not yet taken, so results that finish ahead of their turn cannot pile
+    up while an earlier one still runs."""
+    pending = collections.deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:  # after a failure, start nothing more
+        for future in pending:
+            future.cancel()
+
+
 def empirical_sinr(
     config: SystemConfig,
     profile: LargeScaleProfile,
@@ -410,7 +433,9 @@ def empirical_sinr(
         n_workers = usable_cpus()
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            total = functools.reduce(_Accumulator.merge, pool.map(run, chunks))
+            total = functools.reduce(
+                _Accumulator.merge,
+                _in_order(pool, run, chunks, _WINDOW_PER_WORKER * n_workers))
     else:
         total = functools.reduce(_Accumulator.merge, map(run, chunks))
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,6 +30,10 @@ LN2 = math.log(2.0)
 
 # fewest boundary points check_convexity can judge (two consecutive slopes)
 MIN_CONVEXITY_POINTS = 3
+
+# boundary-point pairs check_convexity evaluates per block (at least one
+# row of pairs), so its temporaries do not grow with the square of the points
+_PAIR_BLOCK = 1 << 14
 
 
 class OracleInstanceTooLarge(ValueError):
@@ -100,17 +106,17 @@ def _mmf_solutions(
 
     common_sinr = N * (P - p_un) / denom
     objective = config.prelog(tau) * np.log2(1.0 + common_sinr)
+    if not (np.isfinite(denom) and np.all(np.isfinite(q_per_sinr))):
+        objective[:] = np.nan  # overflow (a huge P): no finite answer
     q_dl = np.outer(common_sinr, q_per_sinr)
 
     q_up = Grouped(x_star / tau, layout)
     upsilon = upsilon.tolist()
     x_star = Grouped(x_star, layout)
-    return [
-        MmfSolution(objective=obj, common_sinr=sinr, q_dl=q, q_up=q_up,
-                    tau=tau, upsilon=upsilon, x_star=x_star)
-        for obj, sinr, q in zip(objective.tolist(), common_sinr.tolist(),
-                                q_dl.tolist())
-    ]
+    # positional, in field order: the cheapest way to build many of them
+    return list(map(MmfSolution, objective.tolist(), common_sinr.tolist(),
+                    q_dl.tolist(), repeat(q_up), repeat(tau), repeat(upsilon),
+                    repeat(x_star)))
 
 
 def solve_mmf(
@@ -165,16 +171,16 @@ def _wsse_solutions(
 
     sinr = config.n_antennas * p_dl * vartheta / (1.0 + beta * P)
     objective = config.prelog(tau) * np.sum(alpha * np.log2(1.0 + sinr), axis=1)
+    if not np.all(np.isfinite(entry)):  # the floors or their sums overflow
+        objective[:] = np.nan
 
     p_up = (energy / tau).tolist()
     vartheta = vartheta.tolist()
-    return [
-        WsseSolution(objective=obj, p_dl=p, p_up=p_up, tau=tau,
-                     water_level_nu=level if active else None,
-                     vartheta_star=vartheta)
-        for obj, p, level, active in zip(objective.tolist(), p_dl.tolist(),
-                                         nu.tolist(), on.tolist())
-    ]
+    # positional, as in _mmf_solutions; no water level where no unicast
+    # user is active
+    return list(map(WsseSolution, objective.tolist(), p_dl.tolist(),
+                    repeat(p_up), repeat(tau), np.where(on, nu, None).tolist(),
+                    repeat(vartheta)))
 
 
 def solve_wsse(
@@ -201,11 +207,9 @@ def pareto_sweep(
     p_mu = P - p_un
     mmf = _mmf_solutions(config, profile, p_un)
     wsse = _wsse_solutions(config, profile, p_mu)
-    return [
-        ParetoPoint(p_un=a, p_mu=b, o_mu=m.objective, o_un=w.objective,
-                    mmf=m, wsse=w)
-        for a, b, m, w in zip(p_un.tolist(), p_mu.tolist(), mmf, wsse)
-    ]
+    objective = attrgetter("objective")
+    return list(map(ParetoPoint, p_un.tolist(), p_mu.tolist(),
+                    map(objective, mmf), map(objective, wsse), mmf, wsse))
 
 
 def check_convexity(
@@ -215,16 +219,18 @@ def check_convexity(
 
     Checks concavity of o_un as a function of o_mu (consecutive slopes must be
     non-increasing) and that midpoints of all boundary-point pairs are weakly
-    dominated by the piecewise-linear boundary itself.
+    dominated by the piecewise-linear boundary itself.  The O(n^2) pairs are
+    evaluated in blocks of about ``_PAIR_BLOCK``, so memory stays O(block).
     """
     if len(points) < MIN_CONVEXITY_POINTS:
         raise ValueError(f"need at least {MIN_CONVEXITY_POINTS} points")
-    p_un = [pt.p_un for pt in points]
-    if any(b <= a for a, b in zip(p_un, p_un[1:])):
+    p_un, o_mu, o_un = np.array(
+        [(pt.p_un, pt.o_mu, pt.o_un) for pt in points]).T
+    if np.any(np.diff(p_un) <= 0):
         raise ValueError("points must be sorted by strictly increasing p_un")
+    if not (np.all(np.isfinite(o_mu)) and np.all(np.isfinite(o_un))):
+        raise ValueError("boundary objective values must be finite")
 
-    o_mu = np.array([pt.o_mu for pt in points])
-    o_un = np.array([pt.o_un for pt in points])
     order = np.argsort(o_mu)
     x, y = o_mu[order], o_un[order]
 
@@ -234,14 +240,21 @@ def check_convexity(
     slopes = np.diff(y) / dx
     slope_violation = float(max(0.0, np.max(np.diff(slopes), initial=0.0)))
 
-    # one row of pairs (i, j > i) at a time keeps the temporaries O(n)
+    # pairs (i, j) for rows i in [a, b) and columns j in [a, n), about
+    # _PAIR_BLOCK of them per block; the pairs j <= i that this adds repeat
+    # (j, i) exactly (addition commutes) or give exactly 0 (i == j: interp
+    # at a knot returns its y)
+    n = len(x)
     dominance_violation = 0.0
-    for i in range(len(points) - 1):
-        mid_x = 0.5 * (x[i] + x[i + 1:])
-        mid_y = 0.5 * (y[i] + y[i + 1:])
+    a = 0
+    while a < n - 1:
+        b = min(n, a + max(1, _PAIR_BLOCK // (n - a)))
+        mid_x = 0.5 * (x[a:b, None] + x[a:])
+        mid_y = 0.5 * (y[a:b, None] + y[a:])
         dominance_violation = max(
             dominance_violation, float(np.max(mid_y - np.interp(mid_x, x, y)))
         )
+        a = b
 
     max_violation = max(slope_violation, dominance_violation)
     return ConvexityReport(

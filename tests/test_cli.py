@@ -12,8 +12,9 @@ from mmjoint.cli import (
     load_config,
     load_config_file,
     main,
+    write_pareto_csv,
 )
-from mmjoint.optimizers import solve_mmf
+from mmjoint.optimizers import ParetoPoint, pareto_sweep, solve_mmf
 
 SMALL_CONFIG = {
     "scenario": {
@@ -359,6 +360,18 @@ class TestPowerBudgetBounds:
         assert err["field"] == "scenario"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["wsse", "pareto"])
+    def test_overflowing_budget_writes_nothing(self, command, tmp_path,
+                                               capsys):
+        # the unicast floors and the groups' 1/upsilon overflow at P = 1e300
+        path = normalized_config(tmp_path, 1e300)
+        out = tmp_path / "run"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "scenario"
+        assert list(out.iterdir()) == []
+
 
 class TestWriteJson:
     def test_failed_write_leaves_earlier_file_and_no_partial(self,
@@ -419,3 +432,39 @@ class TestEmitPlotdata:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plotdata({}, tmp_path / "x.txt", {})
+
+    def test_same_bytes_as_per_row_formatting(self, tmp_path):
+        cfg = load_config(SMALL_CONFIG)
+        points_by_n = {n: pareto_sweep(cfg.system(n), cfg.profile, 7)
+                       for n in (32, 64)}
+        # p_un 3 lies exactly halfway between the splits 2 and 4 of P = 8
+        halfway = [ParetoPoint(p_un=2.0 * i, p_mu=8.0 - 2.0 * i,
+                               o_mu=5.0 - i, o_un=0.1 * i**2 + 1 / 3,
+                               mmf=None, wsse=None) for i in range(5)]
+        points_by_n[16] = halfway
+        ratios = (0.25, 0.375, 0.5, 0.75)
+        prov = {"tool": "test"}
+        emit_plotdata(points_by_n, tmp_path / "plot.txt", prov, ratios)
+        rows = sorted((n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un)
+                      for n, pts in points_by_n.items() for pt in pts)
+        write_pareto_csv(tmp_path / "pareto.csv", rows, prov)
+
+        header = "# " + json.dumps(prov, sort_keys=True)
+        plot = [header, "# columns: o_mu<TAB>o_un"]
+        for n, pts in points_by_n.items():
+            plot.append(f"# series N={n}")
+            plot += [f"{pt.o_mu:.17e}\t{pt.o_un:.17e}" for pt in pts]
+        for ratio in ratios:
+            plot.append(f"# radial P_un/P={ratio}")
+            for pts in points_by_n.values():
+                total = pts[0].p_un + pts[0].p_mu
+                pt = min(pts, key=lambda p: abs(p.p_un - ratio * total))
+                plot.append(f"{pt.o_mu:.17e}\t{pt.o_un:.17e}")
+        csv = [header, "N,p_un,p_mu,o_mu,o_un"] + [
+            f"{n},{a:.17e},{b:.17e},{c:.17e},{d:.17e}"
+            for n, a, b, c, d in rows]
+        assert (tmp_path / "plot.txt").read_text() == "\n".join(plot) + "\n"
+        assert (tmp_path / "pareto.csv").read_text() == "\n".join(csv) + "\n"
+        # the tie at p_un = 3 goes to the lower split, p_un = 2
+        assert plot[plot.index("# radial P_un/P=0.375") + 3] == (
+            f"{halfway[1].o_mu:.17e}\t{halfway[1].o_un:.17e}")

@@ -327,6 +327,39 @@ class TestEmpiricalSinr:
         # holding every chunk's sums until the end adds about 390 KB here
         assert many < 1.5 * few
 
+    def test_chunks_in_flight_are_bounded(self, config, profile, alloc,
+                                          monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK", 5)  # 100 realizations: 20
+        run_chunk = montecarlo._run_chunk
+        lock = threading.Lock()
+        started = []
+        all_started = threading.Event()
+        started_before_first_returned = []
+
+        def first_chunk_waits(*args):
+            first = args[-1][0]
+            with lock:
+                started.append(first)
+                if len(started) == 20:
+                    all_started.set()
+            if first == 0:
+                # if every chunk were submitted at once, the other worker
+                # would start all 19 others while this one waits
+                all_started.wait(timeout=1.0)
+                with lock:
+                    started_before_first_returned.append(len(started))
+            return run_chunk(*args)
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", first_chunk_waits)
+        report = empirical_sinr(config, profile, alloc, 100, seed=25,
+                                n_workers=2)
+        window = 2 * montecarlo._WINDOW_PER_WORKER
+        assert started_before_first_returned[0] <= window
+        assert sorted(started) == list(range(0, 100, 5))
+        monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
+        one = empirical_sinr(config, profile, alloc, 100, seed=25, n_workers=1)
+        assert report.to_dict() == one.to_dict()
+
     def test_default_workers_are_the_usable_cpus(self, config, profile, alloc,
                                                  monkeypatch):
         assert montecarlo.usable_cpus() == len(os.sched_getaffinity(0))

@@ -11,7 +11,9 @@ from mmjoint.closed_form import (
     estimation_variance_multicast,
     evaluate,
 )
+from mmjoint import optimizers
 from mmjoint.optimizers import (
+    ConvexityReport,
     OracleInstanceTooLarge,
     brute_force_oracle,
     check_convexity,
@@ -314,6 +316,71 @@ class TestCheckConvexity:
     def test_requires_three_points(self):
         pts = [fake_point(0.0, 3.0, 0.0), fake_point(1.0, 1.0, 2.0)]
         with pytest.raises(ValueError):
+            check_convexity(pts)
+
+
+def row_by_row_convexity(points, tol=1e-9):
+    """check_convexity with one row of pairs (i, j > i) at a time."""
+    x = np.array([pt.o_mu for pt in points])
+    y = np.array([pt.o_un for pt in points])
+    order = np.argsort(x)
+    x, y = x[order], y[order]
+    slopes = np.diff(y) / np.diff(x)
+    slope_violation = float(max(0.0, np.max(np.diff(slopes), initial=0.0)))
+    dominance_violation = 0.0
+    for i in range(len(points) - 1):
+        mid_x = 0.5 * (x[i] + x[i + 1:])
+        mid_y = 0.5 * (y[i] + y[i + 1:])
+        dominance_violation = max(
+            dominance_violation, float(np.max(mid_y - np.interp(mid_x, x, y)))
+        )
+    max_violation = max(slope_violation, dominance_violation)
+    return ConvexityReport(
+        is_consistent=bool(max_violation <= tol),
+        max_violation=max_violation,
+        slope_violation=slope_violation,
+        dominance_violation=dominance_violation,
+    )
+
+
+def boundary(kind, n, rng):
+    """Fake boundary points of one kind; o_mu falls as p_un grows."""
+    x = np.sort(rng.uniform(0.0, 10.0, n))[::-1]
+    if kind == "non-concave":
+        y = rng.uniform(0.0, 10.0, n)
+    elif kind == "concave-plus-noise":
+        y = np.sqrt(10.0 - x) + rng.normal(0.0, 1e-3, n)
+    else:  # collinear
+        y = 7.0 - 0.6 * x
+    return [fake_point(i / (n - 1), a, b)
+            for i, (a, b) in enumerate(zip(x.tolist(), y.tolist()))]
+
+
+class TestBlockedConvexityCheck:
+    @pytest.mark.parametrize("kind", ["non-concave", "concave-plus-noise",
+                                      "collinear"])
+    @pytest.mark.parametrize("n", [3, 4, 17, 200])
+    def test_equals_row_by_row(self, kind, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            pts = boundary(kind, n, rng)
+            expected = row_by_row_convexity(pts)
+            assert check_convexity(pts) == expected
+            for block in (1, 2, n - 1, n, n * n):
+                monkeypatch.setattr(optimizers, "_PAIR_BLOCK", block)
+                assert check_convexity(pts) == expected
+            monkeypatch.undo()
+
+    def test_real_sweep_equals_row_by_row(self, small_system, small_profile):
+        pts = pareto_sweep(small_system, small_profile, n_points=401)
+        assert check_convexity(pts) == row_by_row_convexity(pts)
+        pts[200].o_un *= 1.01
+        assert check_convexity(pts) == row_by_row_convexity(pts)
+
+    def test_rejects_non_finite_values(self):
+        pts = [fake_point(0.0, 3.0, 0.0), fake_point(0.5, 2.0, math.nan),
+               fake_point(1.0, 1.0, 2.0)]
+        with pytest.raises(ValueError, match="finite"):
             check_convexity(pts)
 
 
