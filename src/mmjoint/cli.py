@@ -144,7 +144,9 @@ _FIELDS = {
         "pilot_energy_joules")},
     "sweep": {
         "n_points": (_integer(MIN_CONVEXITY_POINTS), 21),
-        "antenna_counts": (_list_of(_COUNT), [50, 100, 200]),
+        "antenna_counts": (  # a repeated count would repeat its rows
+            (lambda v: _list_of(_COUNT)[0](v) and len(set(v)) == len(v),
+             "a nonempty list of distinct integers >= 1"), [50, 100, 200]),
     },
     "montecarlo": {
         "n_realizations": (_integer(MIN_REALIZATIONS), 20000),
@@ -359,10 +361,6 @@ def load_config_file(path: str | None) -> ExperimentConfig:
     return load_config(_read_raw_config(path))
 
 
-def _provenance_lines(provenance: dict) -> list[str]:
-    return ["# " + json.dumps(provenance, sort_keys=True)]
-
-
 def _write_atomic(path: Path, chunks):
     """Write the text ``chunks`` into a sibling ``.partial`` file that
     replaces ``path`` once complete, so ``path`` never holds part of a write.
@@ -376,17 +374,18 @@ def _write_atomic(path: Path, chunks):
         partial.unlink(missing_ok=True)
 
 
-def _write_lines(path: Path, lines: list[str]):
-    _write_atomic(path, ["\n".join(lines) + "\n"])
+def _write_lines(path: Path, provenance: dict, lines: list[str]):
+    """``lines`` under one '#' line that holds ``provenance``."""
+    header = "# " + json.dumps(provenance, sort_keys=True)
+    _write_atomic(path, ["\n".join([header, *lines]) + "\n"])
 
 
 def write_pareto_csv(path: Path, rows: list[tuple], provenance: dict):
     """CSV with header N,p_un,p_mu,o_mu,o_un; provenance as '#' comments."""
-    lines = _provenance_lines(provenance)
-    lines.append("N,p_un,p_mu,o_mu,o_un")
+    lines = ["N,p_un,p_mu,o_mu,o_un"]
     lines += itertools.starmap("{},{:.17e},{:.17e},{:.17e},{:.17e}".format,
                                rows)
-    _write_lines(path, lines)
+    _write_lines(path, provenance, lines)
 
 
 def emit_plotdata(
@@ -399,8 +398,7 @@ def emit_plotdata(
     p_un on a tie."""
     if not points_by_n:
         raise ValueError("no sweep results to emit")
-    lines = _provenance_lines(provenance)
-    lines.append("# columns: o_mu<TAB>o_un")
+    lines = ["# columns: o_mu<TAB>o_un"]
     series = {}  # n -> (p_un array, P, the points' formatted lines)
     for n, points in points_by_n.items():
         p_un, o_mu, o_un = zip(*((pt.p_un, pt.o_mu, pt.o_un)
@@ -413,7 +411,7 @@ def emit_plotdata(
         lines.append(f"# radial P_un/P={ratio}")
         for p_un, total, text in series.values():
             lines.append(text[np.argmin(np.abs(p_un - ratio * total))])
-    _write_lines(path, lines)
+    _write_lines(path, provenance, lines)
 
 
 def _write_json(path: Path, payload: dict):
@@ -452,9 +450,9 @@ def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
 
 def _split_from_args(cfg: ExperimentConfig, args) -> tuple[float, float]:
     P = cfg.total_dl_power
-    if getattr(args, "p_un", None) is not None:
+    if args.p_un is not None:
         p_un = args.p_un
-    elif getattr(args, "p_mu", None) is not None:
+    elif args.p_mu is not None:
         p_un = P - args.p_mu
     else:
         p_un = cfg.montecarlo["unicast_power_fraction"] * P
@@ -517,35 +515,25 @@ _ORACLE_SUITE = [
 
 
 def _cmd_oracle_check(cfg, args, out_dir: Path) -> int:
+    # the tiny instances take the config's T, power, first budgets, radii
+    # and path loss
+    shared = {key: cfg.scenario[key] for key in (
+        "coherence_symbols", "cell_radius_m", "exclusion_radius_m",
+        "pathloss_exponent", "attenuation_const")}
+    shared.update(
+        n_antennas=64, total_dl_power=cfg.total_dl_power,
+        unicast_energy_budgets=cfg.unicast_energy_budgets[0],
+        multicast_energy_budgets=float(cfg.multicast_energy_budgets.flat[0]))
     results, ok = [], True
     for spec in _ORACLE_SUITE:
-        # the tiny instances take the config's T, power, budgets and fading
+        sizes = {k: spec[k] for k in ("n_unicast", "n_groups", "group_sizes")}
         try:
-            system = SystemConfig(
-                n_antennas=64,
-                n_unicast=spec["n_unicast"],
-                n_groups=spec["n_groups"],
-                group_sizes=spec["group_sizes"],
-                coherence_symbols=cfg.scenario["coherence_symbols"],
-                total_dl_power=cfg.total_dl_power,
-                unicast_energy_budgets=[cfg.unicast_energy_budgets[0]]
-                * spec["n_unicast"],
-                multicast_energy_budgets=[
-                    [cfg.multicast_energy_budgets[0][0]] * k
-                    for k in spec["group_sizes"]
-                ],
-            )
-            geometry = place_users(
-                system, cfg.scenario["cell_radius_m"],
-                cfg.scenario["exclusion_radius_m"], spec["drop_seed"],
-            )
-            profile = LargeScaleProfile.from_geometry(
-                geometry, cfg.scenario["pathloss_exponent"],
-                cfg.scenario["attenuation_const"],
-            )
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError("scenario",
-                              f"oracle-check instance {spec}: {exc}")
+            tiny = load_config({"scenario": {**shared, **sizes,
+                                             "seed": spec["drop_seed"]}})
+        except ConfigError as exc:
+            raise ConfigError(exc.field,
+                              f"oracle-check instance {spec}: {exc.message}")
+        system, profile = tiny.system(), tiny.profile
         P = system.total_dl_power
         mmf = solve_mmf(system, profile, p_un=0.3 * P)
         mmf_oracle = brute_force_oracle(system, profile, "mmf", 400,
@@ -553,13 +541,10 @@ def _cmd_oracle_check(cfg, args, out_dir: Path) -> int:
         wsse = solve_wsse(system, profile, p_mu=0.3 * P)
         wsse_oracle = brute_force_oracle(system, profile, "wsse", 200,
                                          p_mu=0.3 * P)
-        entry = {
-            "instance": spec,
-            "mmf_closed_form": mmf.objective,
-            "mmf_oracle": mmf_oracle.objective,
-            "wsse_closed_form": wsse.objective,
-            "wsse_oracle": wsse_oracle.objective,
-        }
+        entry = {"instance": spec, "mmf_closed_form": mmf.objective,
+                 "mmf_oracle": mmf_oracle.objective,
+                 "wsse_closed_form": wsse.objective,
+                 "wsse_oracle": wsse_oracle.objective}
         entry["consistent"] = (
             mmf_oracle.objective <= mmf.objective * (1 + 1e-9) + 1e-12
             and wsse_oracle.objective <= wsse.objective * (1 + 1e-9) + 1e-12
@@ -572,6 +557,33 @@ def _cmd_oracle_check(cfg, args, out_dir: Path) -> int:
     return 0 if ok else 4
 
 
+# override flag -> (type, help text)
+_FLAGS = {
+    "--p-un": (float, "unicast downlink power (normalized)"),
+    "--p-mu": (float, "multicast downlink power (normalized)"),
+    "--n": (int, "antenna count override"),
+    "--points": (int, "sweep points override"),
+    "--seed": (int, "seed override"),
+}
+_AT_A_SPLIT = ("--p-un", "--p-mu", "--n", "--seed")
+
+# subcommand -> (handler, the override flags it reads, help text); every
+# subcommand also takes --config and --out, and any other flag is a usage
+# error
+_COMMANDS = {
+    "pareto": (_cmd_pareto, ("--n", "--points", "--seed"),
+               "sweep the Pareto boundary over antenna counts"),
+    "mmf": (_cmd_solve, _AT_A_SPLIT,
+            "solve the multicast max-min problem at a power split"),
+    "wsse": (_cmd_solve, _AT_A_SPLIT,
+             "solve the weighted-sum unicast SE problem at a power split"),
+    "validate": (_cmd_validate, _AT_A_SPLIT,
+                 "Monte Carlo validation of the closed-form SINRs"),
+    "oracle-check": (_cmd_oracle_check, (),
+                     "brute-force comparisons on tiny embedded instances"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mmjoint",
@@ -580,23 +592,14 @@ def build_parser() -> argparse.ArgumentParser:
         "Carlo validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("pareto", "sweep the Pareto boundary over antenna counts"),
-        ("mmf", "solve the multicast max-min problem at a power split"),
-        ("wsse", "solve the weighted-sum unicast SE problem at a power split"),
-        ("validate", "Monte Carlo validation of the closed-form SINRs"),
-        ("oracle-check", "brute-force comparisons on tiny embedded instances"),
-    ]:
+    for name, (handler, flags, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (embedded default if omitted)")
-        p.add_argument("--p-un", type=float, dest="p_un",
-                       help="unicast downlink power (normalized)")
-        p.add_argument("--p-mu", type=float, dest="p_mu",
-                       help="multicast downlink power (normalized)")
-        p.add_argument("--n", type=int, help="antenna count override")
-        p.add_argument("--points", type=int, help="sweep points override")
-        p.add_argument("--seed", type=int, help="seed override")
+        for flag in flags:
+            kind, flag_help = _FLAGS[flag]
+            p.add_argument(flag, type=kind, help=flag_help)
         p.add_argument("--out", metavar="DIR", help="output directory")
     return parser
 
@@ -604,42 +607,35 @@ def build_parser() -> argparse.ArgumentParser:
 def _overrides(args) -> dict:
     """The command-line overrides as ``load_config`` takes them, so that
     ``provenance`` records what is computed."""
+    flags = vars(args)  # a command's namespace has only its own flags
+    n, points, seed = map(flags.get, ("n", "points", "seed"))
+    if n is not None and n < 1:
+        raise ConfigError("--n", "antenna count must be a positive integer")
+    if points is not None and points < MIN_CONVEXITY_POINTS:
+        raise ConfigError("--points", "a sweep needs at least "
+                          f"{MIN_CONVEXITY_POINTS} points")
     overrides = {"scenario": {}, "sweep": {}, "montecarlo": {}}
-    if args.seed is not None:
+    if seed is not None:
         # a new drop replaces explicit distances
-        overrides["scenario"].update(seed=args.seed, unicast_distances=None,
+        overrides["scenario"].update(seed=seed, unicast_distances=None,
                                      multicast_distances=None)
-        overrides["montecarlo"]["seed"] = args.seed
-    if args.n is not None:
-        overrides["scenario"]["n_antennas"] = args.n
-        overrides["sweep"]["antenna_counts"] = [args.n]
-    if args.points is not None:
-        overrides["sweep"]["n_points"] = args.points
+        overrides["montecarlo"]["seed"] = seed
+    if n is not None:
+        overrides["scenario"]["n_antennas"] = n
+        overrides["sweep"]["antenna_counts"] = [n]
+    if points is not None:
+        overrides["sweep"]["n_points"] = points
     return overrides
-
-
-_COMMANDS = {
-    "pareto": _cmd_pareto,
-    "mmf": _cmd_solve,
-    "wsse": _cmd_solve,
-    "validate": _cmd_validate,
-    "oracle-check": _cmd_oracle_check,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.n is not None and args.n < 1:
-            raise ConfigError("--n", "antenna count must be a positive "
-                              "integer")
-        if args.points is not None and args.points < MIN_CONVEXITY_POINTS:
-            raise ConfigError("--points", "a sweep needs at least "
-                              f"{MIN_CONVEXITY_POINTS} points")
-        cfg = load_config(_read_raw_config(args.config), _overrides(args))
+        overrides = _overrides(args)  # checked before the config is read
+        cfg = load_config(_read_raw_config(args.config), overrides)
         out_dir = Path(args.out or cfg.output["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, args, out_dir)
+        return args.handler(cfg, args, out_dir)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "field": exc.field,
                           "message": exc.message}), file=sys.stderr)

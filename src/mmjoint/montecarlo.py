@@ -260,7 +260,7 @@ class _Accumulator:
     """Running sums of every per-realization term, merged in fixed order.
 
     Rows are users (unicast first, then every group's members); columns are
-    the U + G precoders.
+    the U + G precoders, so a user's own column holds its |c|^2 and |c|^4.
     """
 
     def __init__(self, n_users: int, n_cols: int):
@@ -268,18 +268,14 @@ class _Accumulator:
         # effective desired-channel coefficients (complex scalars per user)
         self.sum_c = np.zeros(n_users, dtype=complex)
         self.sum_re2_c = np.zeros(n_users)
-        self.sum_abs2_c = np.zeros(n_users)
-        self.sum_abs4_c = np.zeros(n_users)
         # received powers from each of the U+G precoders
         self.sum_cross = np.zeros((n_users, n_cols))
         self.sum_cross_sq = np.zeros((n_users, n_cols))
 
-    def add(self, c, abs2, cross, cross_sq):
+    def add(self, c, cross, cross_sq):
         self.n += 1
         self.sum_c += c
         self.sum_re2_c += c.real**2
-        self.sum_abs2_c += abs2
-        self.sum_abs4_c += abs2**2
         self.sum_cross += cross
         self.sum_cross_sq += cross_sq
 
@@ -309,7 +305,7 @@ def _run_chunk(config, profile, alloc, stats, own_col, seed, indices):
         np.matmul(real.h, np.hstack([V, W]).conj(), out=rx)
         np.square(rx.real, out=power)
         power += np.square(rx.imag, out=square)
-        acc.add(rx[users, own_col].conj(), power[users, own_col], power,
+        acc.add(rx[users, own_col].conj(), power,
                 np.square(power, out=square))
     return acc
 
@@ -327,13 +323,16 @@ def _breakdowns(config, profile, alloc, stats, own_col, acc):
     p_un = alloc.unicast_power
     p_mu = alloc.multicast_power
 
+    users = np.arange(len(own_col))
+    mean_abs2 = acc.sum_cross[users, own_col] / n
     mean_c = acc.sum_c / n
     desired = np.abs(mean_c) ** 2
-    var_c = np.maximum(0.0, acc.sum_abs2_c / n - desired)
+    var_c = np.maximum(0.0, mean_abs2 - desired)
     # delta-method SE of |mean|^2 plus the usual SE for mean powers
     var_re = np.maximum(0.0, acc.sum_re2_c / n - mean_c.real**2)
     desired_se = 2.0 * np.abs(mean_c) * np.sqrt(var_re / n) + var_c / n
-    var_abs2 = np.maximum(0.0, acc.sum_abs4_c / n - (acc.sum_abs2_c / n) ** 2)
+    var_abs2 = np.maximum(0.0, acc.sum_cross_sq[users, own_col] / n
+                          - mean_abs2**2)
     self_se = np.sqrt(var_abs2 / n
                       + (2.0 * np.abs(mean_c)) ** 2 * var_re / n)
 

@@ -97,18 +97,21 @@ def _mmf_solutions(
 
     eta = profile.eta.flat
     budgets = config.multicast_energy_budgets.flat
-    upsilon = np.minimum.reduceat(budgets * eta**2 / (1.0 + eta * P),
-                                  layout.starts)
-    x_star = (1.0 + eta * P) / eta**2 * upsilon[layout.member_group]
-    denom = P * config.n_multicast + np.sum(1.0 / upsilon) + np.sum(1.0 / eta)
-    gain = 1.0 + np.add.reduceat(x_star * eta, layout.starts)
-    q_per_sinr = gain / (N * upsilon)  # group downlink power per unit SINR
+    # a huge P overflows these, and q_dl then takes 0 * inf; the isfinite
+    # test below makes the objective NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        upsilon = np.minimum.reduceat(budgets * eta**2 / (1.0 + eta * P),
+                                      layout.starts)
+        x_star = (1.0 + eta * P) / eta**2 * upsilon[layout.member_group]
+        denom = P * config.n_multicast + np.sum(1 / upsilon) + np.sum(1 / eta)
+        gain = 1.0 + np.add.reduceat(x_star * eta, layout.starts)
+        q_per_sinr = gain / (N * upsilon)  # group power per unit SINR
+        common_sinr = N * (P - p_un) / denom
+        q_dl = np.outer(common_sinr, q_per_sinr)
 
-    common_sinr = N * (P - p_un) / denom
     objective = config.prelog(tau) * np.log2(1.0 + common_sinr)
     if not (np.isfinite(denom) and np.all(np.isfinite(q_per_sinr))):
         objective[:] = np.nan  # overflow (a huge P): no finite answer
-    q_dl = np.outer(common_sinr, q_per_sinr)
 
     q_up = Grouped(x_star / tau, layout)
     upsilon = upsilon.tolist()
@@ -152,15 +155,17 @@ def _wsse_solutions(
     energy = np.asarray(config.unicast_energy_budgets, dtype=float)
     beta = np.asarray(profile.beta, dtype=float)
     alpha = np.asarray(config.unicast_weights, dtype=float)
-    vartheta = energy * beta**2 / (1.0 + energy * beta)
-    floors = (1.0 + beta * P) / (config.n_antennas * vartheta)
-
-    order = np.argsort(-alpha / floors, kind="stable")
-    a_cum = np.concatenate(([0.0], np.cumsum(alpha[order])))
-    f_cum = np.concatenate(([0.0], np.cumsum(floors[order])))
-    # roundoff may put tied breakpoints an ulp out of order; the water level
-    # is continuous at a breakpoint, so either active count is then right
-    entry = a_cum[:-1] * floors[order] / alpha[order] - f_cum[:-1]
+    # a huge P overflows these; the isfinite test below makes the
+    # objective NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        vartheta = energy * beta**2 / (1.0 + energy * beta)
+        floors = (1.0 + beta * P) / (config.n_antennas * vartheta)
+        order = np.argsort(-alpha / floors, kind="stable")
+        a_cum = np.concatenate(([0.0], np.cumsum(alpha[order])))
+        f_cum = np.concatenate(([0.0], np.cumsum(floors[order])))
+        # roundoff may put tied breakpoints an ulp out of order; the water
+        # level is continuous there, so either active count is then right
+        entry = a_cum[:-1] * floors[order] / alpha[order] - f_cum[:-1]
 
     target = P - p_mu
     k = np.searchsorted(entry, target)  # users whose breakpoint lies below

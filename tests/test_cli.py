@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from mmjoint.cli import (
     ConfigError,
     DEFAULT_CONFIG,
     _write_json,
+    build_parser,
     emit_plotdata,
     load_config,
     load_config_file,
@@ -468,3 +472,99 @@ class TestEmitPlotdata:
         # the tie at p_un = 3 goes to the lower split, p_un = 2
         assert plot[plot.index("# radial P_un/P=0.375") + 3] == (
             f"{halfway[1].o_mu:.17e}\t{halfway[1].o_un:.17e}")
+
+
+OVERRIDE_VALUES = {"--p-un": "0", "--p-mu": "0", "--n": "16",
+                   "--points": "7", "--seed": "5"}
+
+
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+# (subcommand, override flag) for every override the parser takes
+ACCEPTED = [(name, action.option_strings[0])
+            for name, parser in SUBCOMMANDS.items()
+            for action in parser._actions
+            if set(action.option_strings) & set(OVERRIDE_VALUES)]
+
+
+def outputs_without_provenance(out: Path) -> dict:
+    """Each output file with its provenance (JSON key, '#' lines) removed."""
+    result = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            del payload["provenance"]
+            result[path.name] = payload
+        else:
+            result[path.name] = [line for line in
+                                 path.read_text().splitlines()
+                                 if not line.startswith("#")]
+    return result
+
+
+class TestOverrideFlags:
+    def test_each_command_takes_the_flags_it_reads(self):
+        taken = {}
+        for command, flag in ACCEPTED:
+            taken.setdefault(command, []).append(flag)
+        at_a_split = ["--p-un", "--p-mu", "--n", "--seed"]
+        assert taken == {"pareto": ["--n", "--points", "--seed"],
+                         "mmf": at_a_split, "wsse": at_a_split,
+                         "validate": at_a_split}
+
+    @pytest.mark.parametrize("command, flag", ACCEPTED)
+    def test_every_accepted_flag_changes_the_result(
+            self, config_path, tmp_path, command, flag):
+        base = ["--config", config_path]
+        assert main([command, *base, "--out", str(tmp_path / "a")]) == 0
+        assert main([command, *base, "--out", str(tmp_path / "b"),
+                     flag, OVERRIDE_VALUES[flag]]) == 0
+        assert outputs_without_provenance(tmp_path / "a") != \
+            outputs_without_provenance(tmp_path / "b")
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in SUBCOMMANDS for flag in OVERRIDE_VALUES
+        if (command, flag) not in ACCEPTED])
+    def test_flag_a_command_does_not_read_is_a_usage_error(
+            self, config_path, tmp_path, capsys, command, flag):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_path, "--out", str(out),
+                  flag, OVERRIDE_VALUES[flag]])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRepeatedAntennaCounts:
+    def test_repeated_count_exits_2_and_writes_nothing(self, tmp_path,
+                                                       capsys):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["sweep"]["antenna_counts"] = [32, 64, 32]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["pareto", "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "sweep.antenna_counts"
+        assert not out.exists()
+
+
+class TestOverflowStderr:
+    def test_pareto_at_a_huge_power_prints_one_json_line(self, tmp_path):
+        path = normalized_config(tmp_path, 1e300)
+        out = tmp_path / "run"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONWARNINGS", None)  # the default filters show them
+        run = subprocess.run(
+            [sys.executable, "-m", "mmjoint.cli", "pareto", "--config", path,
+             "--out", str(out)], capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        assert json.loads(lines[0])["field"] == "scenario"
+        assert list(out.iterdir()) == []
