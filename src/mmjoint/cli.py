@@ -491,6 +491,9 @@ def _cmd_validate(cfg, args, out_dir: Path) -> int:
     system = cfg.system()
     mmf = solve_mmf(system, cfg.profile, p_un)
     wsse = solve_wsse(system, cfg.profile, p_mu)
+    # an overflowing scenario would read as an infeasible allocation
+    if not all(map(math.isfinite, (mmf.objective, wsse.objective))):
+        raise ConfigError("scenario", _NON_FINITE)
     alloc = PowerAllocation(
         p_dl=wsse.p_dl, q_dl=mmf.q_dl, p_up=wsse.p_up, q_up=mmf.q_up,
         tau=system.n_pilots,

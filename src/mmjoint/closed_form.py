@@ -113,6 +113,15 @@ def estimation_variance_multicast(tau, q_up, eta):
     return xi, gamma
 
 
+def member_estimation_variances(tau, q_up, eta, layout):
+    """``(xi, s)`` over the last axis of ``q_up``, members in ``layout``
+    order: s_j = sum_k tau q_jk eta_jk, xi_jk = tau q_jk eta_jk^2 / (1 + s_j).
+    """
+    tq = tau * q_up
+    s = np.add.reduceat(tq * eta, layout.starts, axis=-1)
+    return tq * eta**2 / (1.0 + s[..., layout.member_group]), s
+
+
 def pilot_scaling(tau, q_up, eta):
     """Scalars c_k tying each per-user estimate to the composite estimate.
 
@@ -149,9 +158,8 @@ class EstimationStats:
         tau = alloc.tau
         vartheta = estimation_variance_unicast(tau, alloc.p_up, profile.beta)
         layout = alloc.q_up.layout
-        q, eta = alloc.q_up.flat, profile.eta.flat
-        s = np.add.reduceat(tau * q * eta, layout.starts)
-        xi = tau * q * eta**2 / (1.0 + s[layout.member_group])
+        xi, s = member_estimation_variances(tau, alloc.q_up.flat,
+                                            profile.eta.flat, layout)
         return cls(vartheta=vartheta.tolist(),
                    xi=Grouped(xi, layout), gamma=(s * s / (1.0 + s)).tolist())
 

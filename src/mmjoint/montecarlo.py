@@ -37,7 +37,7 @@ import collections
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -243,17 +243,7 @@ class MonteCarloReport:
     multicast: list
 
     def to_dict(self) -> dict:
-        def row(u: UserSinrBreakdown) -> dict:
-            d = dict(u.__dict__)
-            d["index"] = list(u.index)
-            return d
-
-        return {
-            "n_realizations": self.n_realizations,
-            "seed": self.seed,
-            "unicast": [row(u) for u in self.unicast],
-            "multicast": [row(u) for u in self.multicast],
-        }
+        return asdict(self)
 
 
 class _Accumulator:
@@ -287,6 +277,12 @@ class _Accumulator:
         return self
 
 
+# a huge power overflows the squared powers, and the report's non-finite
+# values then fail its JSON write; set per call, as errstate is per thread
+_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_OVERFLOW
 def _run_chunk(config, profile, alloc, stats, own_col, seed, indices):
     users = np.arange(len(own_col))
     shape = (len(users), config.n_pilots)
@@ -310,6 +306,7 @@ def _run_chunk(config, profile, alloc, stats, own_col, seed, indices):
     return acc
 
 
+@_QUIET_OVERFLOW
 def _breakdowns(config, profile, alloc, stats, own_col, acc):
     """Turn the accumulated sums into per-user empirical/analytic reports.
 
@@ -419,24 +416,18 @@ def empirical_sinr(
     U = config.n_unicast
     own_col = np.concatenate([np.arange(U), U + config.layout.member_group])
 
-    def run(chunk):
-        return _run_chunk(config, profile, alloc, stats, own_col, seed, chunk)
-
-    chunks = [
-        range(i, min(i + _CHUNK, n_realizations))
-        for i in range(0, n_realizations, _CHUNK)
-    ]
+    run = functools.partial(_run_chunk, config, profile, alloc, stats,
+                            own_col, seed)
+    chunks = [range(i, min(i + _CHUNK, n_realizations))
+              for i in range(0, n_realizations, _CHUNK)]
     # each chunk's sums are folded into the first chunk's, in chunk order,
     # as the chunks finish
     if n_workers is None:
         n_workers = usable_cpus()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            total = functools.reduce(
-                _Accumulator.merge,
-                _in_order(pool, run, chunks, _WINDOW_PER_WORKER * n_workers))
-    else:
-        total = functools.reduce(_Accumulator.merge, map(run, chunks))
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        total = functools.reduce(
+            _Accumulator.merge,
+            _in_order(pool, run, chunks, _WINDOW_PER_WORKER * n_workers))
 
     unicast, multicast = _breakdowns(config, profile, alloc, stats, own_col,
                                      total)

@@ -12,7 +12,6 @@ upsilon, x_star, vartheta_star).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -21,8 +20,8 @@ from operator import attrgetter
 import numpy as np
 
 from .closed_form import (
-    estimation_variance_multicast,
     estimation_variance_unicast,
+    member_estimation_variances,
 )
 from .scenario import Grouped, LargeScaleProfile, SystemConfig
 
@@ -34,6 +33,11 @@ MIN_CONVEXITY_POINTS = 3
 # boundary-point pairs check_convexity evaluates per block (at least one
 # row of pairs), so its temporaries do not grow with the square of the points
 _PAIR_BLOCK = 1 << 14
+
+# the brute-force oracle's pilot lengths U+G .. U+G+ORACLE_TAU_SPAN (capped
+# at T) and pilot energies, as fractions of each user's budget
+ORACLE_TAU_SPAN = 4
+ORACLE_PILOT_FRACTIONS = np.array([0.25, 0.5, 0.75, 1.0])
 
 
 class OracleInstanceTooLarge(ValueError):
@@ -167,14 +171,14 @@ def _wsse_solutions(
         # level is continuous there, so either active count is then right
         entry = a_cum[:-1] * floors[order] / alpha[order] - f_cum[:-1]
 
-    target = P - p_mu
-    k = np.searchsorted(entry, target)  # users whose breakpoint lies below
-    nu = np.full(target.shape, np.inf)  # no unicast power: nobody is active
-    on = k > 0
-    nu[on] = a_cum[k[on]] / (LN2 * (target[on] + f_cum[k[on]]))
-    p_dl = np.maximum(0.0, alpha / (nu[:, None] * LN2) - floors)
+        target = P - p_mu
+        k = np.searchsorted(entry, target)  # users whose breakpoint is below
+        nu = np.full(target.shape, np.inf)  # no unicast power: none active
+        on = k > 0
+        nu[on] = a_cum[k[on]] / (LN2 * (target[on] + f_cum[k[on]]))
+        p_dl = np.maximum(0.0, alpha / (nu[:, None] * LN2) - floors)
 
-    sinr = config.n_antennas * p_dl * vartheta / (1.0 + beta * P)
+        sinr = config.n_antennas * p_dl * vartheta / (1.0 + beta * P)
     objective = config.prelog(tau) * np.sum(alpha * np.log2(1.0 + sinr), axis=1)
     if not np.all(np.isfinite(entry)):  # the floors or their sums overflow
         objective[:] = np.nan
@@ -285,11 +289,9 @@ def _simplex_grid(n_vars: int, steps: int) -> np.ndarray:
     if n_vars == 2:
         t = np.linspace(0.0, 1.0, steps + 1)
         return np.column_stack([t, 1.0 - t])
-    rows = []
-    for i in range(steps + 1):
-        for j in range(steps + 1 - i):
-            rows.append((i / steps, j / steps, (steps - i - j) / steps))
-    return np.asarray(rows)
+    # rows (i, j - i, steps - j) for i = 0..steps, then j = i..steps
+    i, j = np.triu_indices(steps + 1)
+    return np.column_stack([i, j - i, steps - j]) / steps
 
 
 def brute_force_oracle(
@@ -300,8 +302,6 @@ def brute_force_oracle(
     *,
     p_un: float = 0.0,
     p_mu: float = 0.0,
-    pilot_fractions=(0.25, 0.5, 0.75, 1.0),
-    tau_span: int = 4,
 ) -> OracleResult:
     """Exhaustive grid search over the feasible set; test-only validation tool.
 
@@ -309,8 +309,9 @@ def brute_force_oracle(
     or "wsse" (weighted-sum unicast SE, multicast power fixed at ``p_mu``).
     Downlink powers are searched on the simplex where the power constraint
     binds (uniformly scaling all downlink powers up improves every SINR, so
-    the optimum always exhausts the budget); pilot powers on a fractional grid
-    of each energy box; tau over {U+G, ..., U+G+tau_span} capped at T.
+    the optimum always exhausts the budget), pilot energies and tau over the
+    ORACLE_* sets.  The first maximum over (tau, pilot combination, split)
+    is returned.
     """
     if objective not in ("mmf", "wsse"):
         raise ValueError("objective must be 'mmf' or 'wsse'")
@@ -321,76 +322,69 @@ def brute_force_oracle(
 
     P = config.total_dl_power
     taus = range(config.n_pilots, min(config.coherence_symbols,
-                                      config.n_pilots + tau_span) + 1)
-
+                                      config.n_pilots + ORACLE_TAU_SPAN) + 1)
     if objective == "mmf":
-        return _oracle_mmf(config, profile, grid_steps, P - p_un, taus,
-                           pilot_fractions)
-    return _oracle_wsse(config, profile, grid_steps, P - p_mu, taus,
-                        pilot_fractions)
+        return _oracle_mmf(config, profile, grid_steps, P - p_un, taus)
+    return _oracle_wsse(config, profile, grid_steps, P - p_mu, taus)
 
 
-def _oracle_mmf(config, profile, grid_steps, p_mu, taus, pilot_fractions):
-    P = config.total_dl_power
-    eta = [np.asarray(g, dtype=float) for g in profile.eta]
-    budgets = [np.asarray(g, dtype=float) for g in config.multicast_energy_budgets]
-    n_users = [len(g) for g in eta]
+def _oracle_mmf(config, profile, grid_steps, p_mu, taus):
+    layout = config.layout
+    eta = profile.eta.flat
+    # every combination of one fraction per member, the first member's
+    # varying slowest: (fractions ** members, members)
+    combos = np.indices((len(ORACLE_PILOT_FRACTIONS),) * len(eta))
+    energy = ORACLE_PILOT_FRACTIONS[combos.reshape(len(eta), -1).T] \
+        * config.multicast_energy_budgets.flat
     splits = _simplex_grid(config.n_groups, grid_steps)  # (n_pts, G)
+    dl_per_coeff = config.n_antennas * splits * p_mu
 
     best = OracleResult(-math.inf, 0, [], [])
     for tau in taus:
-        prelog = config.prelog(tau)
-        # one fraction per multicast user, all combinations
-        for fracs in itertools.product(pilot_fractions, repeat=sum(n_users)):
-            it = iter(fracs)
-            q_up = [np.array([next(it) for _ in range(k)]) * bud / tau
-                    for k, bud in zip(n_users, budgets)]
-            # min over each group's users of xi / (1 + eta * P): the group's
-            # worst per-power SINR coefficient
-            coeffs = []
-            for q_g, eta_g in zip(q_up, eta):
-                xi, _ = estimation_variance_multicast(tau, q_g, eta_g)
-                coeffs.append(np.min(xi / (1.0 + eta_g * P)))
-            coeffs = np.asarray(coeffs)
-            # min SINR over groups for every downlink split at once
-            min_sinr = np.min(
-                config.n_antennas * splits * p_mu * coeffs, axis=1
-            )
-            idx = int(np.argmax(min_sinr))
-            obj = prelog * math.log2(1.0 + float(min_sinr[idx]))
-            if obj > best.objective:
-                best = OracleResult(
-                    objective=obj,
-                    tau=tau,
-                    dl_powers=list(splits[idx] * p_mu),
-                    up_powers=[list(q) for q in q_up],
-                )
+        q_up = energy / tau
+        xi, _ = member_estimation_variances(tau, q_up, eta, layout)
+        # each group's worst per-power SINR coefficient, per combination
+        coeffs = np.minimum.reduceat(
+            xi / (1.0 + eta * config.total_dl_power), layout.starts, axis=1)
+        # min SINR over groups for every (combination, downlink split)
+        min_sinr = np.min(dl_per_coeff * coeffs[:, None, :], axis=2)
+        # math.log2, not numpy's log2, which differs from it in the last bit
+        # on some values: the first maximum then matches the tests' loop oracle
+        obj = config.prelog(tau) * np.fromiter(
+            map(math.log2, 1.0 + min_sinr.max(axis=1)), float)
+        c = int(np.argmax(obj))
+        if obj[c] > best.objective:
+            idx = np.argmax(min_sinr[c])
+            best = OracleResult(float(obj[c]), tau, list(splits[idx] * p_mu),
+                                Grouped(q_up[c], layout).tolist())
     return best
 
 
-def _oracle_wsse(config, profile, grid_steps, p_un, taus, pilot_fractions):
-    P = config.total_dl_power
+def _oracle_wsse(config, profile, grid_steps, p_un, taus):
     beta = np.asarray(profile.beta, dtype=float)
     alpha = np.asarray(config.unicast_weights, dtype=float)
     energy = np.asarray(config.unicast_energy_budgets, dtype=float)
-    splits = _simplex_grid(config.n_unicast, grid_steps)  # (n_pts, U)
+    dl_powers = _simplex_grid(config.n_unicast, grid_steps) * p_un  # (pts, U)
 
     best = OracleResult(-math.inf, 0, [], [])
     for tau in taus:
-        prelog = config.prelog(tau)
-        for fracs in itertools.product(pilot_fractions, repeat=config.n_unicast):
-            p_up = np.asarray(fracs) * energy / tau
-            vartheta = estimation_variance_unicast(tau, p_up, beta)
-            gain = config.n_antennas * vartheta / (1.0 + beta * P)
-            obj_all = prelog * np.sum(
-                alpha * np.log2(1.0 + splits * p_un * gain), axis=1
-            )
-            idx = int(np.argmax(obj_all))
-            if obj_all[idx] > best.objective:
-                best = OracleResult(
-                    objective=float(obj_all[idx]),
-                    tau=tau,
-                    dl_powers=list(splits[idx] * p_un),
-                    up_powers=list(p_up),
-                )
+        # row f: every user's pilot power at fraction f of its budget
+        p_up = ORACLE_PILOT_FRACTIONS[:, None] * energy / tau
+        gain = config.n_antennas * estimation_variance_unicast(
+            tau, p_up, beta) / (1.0 + beta * config.total_dl_power)
+        # user i's term depends only on its own fraction, so at every split
+        # the best combination keeps each user's first best fraction (float
+        # addition is monotone, so no other combination sums higher)
+        terms = np.full(dl_powers.shape, -math.inf)
+        kept = np.zeros(dl_powers.shape, dtype=np.int8)
+        for f, g in enumerate(gain):
+            term = alpha * np.log2(1.0 + dl_powers * g)
+            better = term > terms
+            terms[better] = term[better]
+            kept[better] = f
+        obj_all = config.prelog(tau) * np.sum(terms, axis=1)
+        idx = int(np.argmax(obj_all))
+        if obj_all[idx] > best.objective:
+            best = OracleResult(float(obj_all[idx]), tau, list(dl_powers[idx]),
+                                list(p_up[kept[idx], np.arange(len(energy))]))
     return best

@@ -344,6 +344,16 @@ def normalized_config(tmp_path, total_dl_power):
     return str(path)
 
 
+def budget_config(tmp_path, total_dl_power, budgets):
+    """``normalized_config`` with every pilot energy budget at ``budgets``."""
+    path = Path(normalized_config(tmp_path, total_dl_power))
+    raw = json.loads(path.read_text())
+    raw["scenario"].update(unicast_energy_budgets=budgets,
+                           multicast_energy_budgets=budgets)
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
 class TestPowerBudgetBounds:
     def test_zero_power_sweep_is_config_error(self, tmp_path, capsys):
         path = normalized_config(tmp_path, 0.0)
@@ -371,6 +381,18 @@ class TestPowerBudgetBounds:
         path = normalized_config(tmp_path, 1e300)
         out = tmp_path / "run"
         assert main([command, "--config", path, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "scenario"
+        assert list(out.iterdir()) == []
+
+
+    def test_validate_overflow_is_a_config_error(self, tmp_path, capsys):
+        # x_star overflows here, so the default split would otherwise read
+        # as an infeasible allocation (exit 3)
+        path = budget_config(tmp_path, 1e308, 1e300)
+        out = tmp_path / "run"
+        assert main(["validate", "--config", path, "--out", str(out)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert err["field"] == "scenario"
@@ -568,3 +590,24 @@ class TestOverflowStderr:
         assert len(lines) == 1, run.stderr
         assert json.loads(lines[0])["field"] == "scenario"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, power, budgets", [
+        ("wsse", 1e308, 1e300),  # the WSSE SINRs overflow
+        ("pareto", 1e308, 1e300),
+        ("validate", 1e200, 10.0),  # the Monte Carlo's squared powers do
+    ])
+    def test_huge_budgets_print_one_json_line(self, command, power, budgets,
+                                              tmp_path):
+        path = budget_config(tmp_path, power, budgets)
+        out = tmp_path / "run"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONWARNINGS", None)  # the default filters show them
+        run = subprocess.run(
+            [sys.executable, "-m", "mmjoint.cli", command, "--config", path,
+             "--out", str(out)], capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        assert json.loads(lines[0])["field"] == "scenario"

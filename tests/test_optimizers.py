@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from mmjoint.closed_form import (
     EstimationStats,
     PowerAllocation,
     estimation_variance_multicast,
+    estimation_variance_unicast,
     evaluate,
 )
 from mmjoint import optimizers
@@ -435,3 +437,118 @@ class TestBruteForceOracle:
     def test_invalid_objective(self, small_system, small_profile):
         with pytest.raises(ValueError):
             brute_force_oracle(small_system, small_profile, "other", 10)
+
+
+# The oracle as a loop over every pilot combination and group: the reference
+# that the array search in brute_force_oracle must match field for field.
+def loop_simplex_grid(n_vars, steps):
+    if n_vars == 1:
+        return np.ones((1, 1))
+    if n_vars == 2:
+        t = np.linspace(0.0, 1.0, steps + 1)
+        return np.column_stack([t, 1.0 - t])
+    rows = []
+    for i in range(steps + 1):
+        for j in range(steps + 1 - i):
+            rows.append((i / steps, j / steps, (steps - i - j) / steps))
+    return np.asarray(rows)
+
+
+def loop_oracle(config, profile, objective, grid_steps, p_un=0.0, p_mu=0.0,
+                pilot_fractions=(0.25, 0.5, 0.75, 1.0), tau_span=4):
+    P = config.total_dl_power
+    taus = range(config.n_pilots, min(config.coherence_symbols,
+                                      config.n_pilots + tau_span) + 1)
+    best = optimizers.OracleResult(-math.inf, 0, [], [])
+    if objective == "mmf":
+        p_mu = P - p_un
+        eta = [np.asarray(g, dtype=float) for g in profile.eta]
+        budgets = [np.asarray(g, dtype=float)
+                   for g in config.multicast_energy_budgets]
+        n_users = [len(g) for g in eta]
+        splits = loop_simplex_grid(config.n_groups, grid_steps)
+        for tau in taus:
+            prelog = config.prelog(tau)
+            for fracs in itertools.product(pilot_fractions,
+                                           repeat=sum(n_users)):
+                it = iter(fracs)
+                q_up = [np.array([next(it) for _ in range(k)]) * bud / tau
+                        for k, bud in zip(n_users, budgets)]
+                coeffs = []
+                for q_g, eta_g in zip(q_up, eta):
+                    xi, _ = estimation_variance_multicast(tau, q_g, eta_g)
+                    coeffs.append(np.min(xi / (1.0 + eta_g * P)))
+                coeffs = np.asarray(coeffs)
+                min_sinr = np.min(
+                    config.n_antennas * splits * p_mu * coeffs, axis=1)
+                idx = int(np.argmax(min_sinr))
+                obj = prelog * math.log2(1.0 + float(min_sinr[idx]))
+                if obj > best.objective:
+                    best = optimizers.OracleResult(
+                        obj, tau, list(splits[idx] * p_mu),
+                        [list(q) for q in q_up])
+        return best
+    p_un = P - p_mu
+    beta = np.asarray(profile.beta, dtype=float)
+    alpha = np.asarray(config.unicast_weights, dtype=float)
+    energy = np.asarray(config.unicast_energy_budgets, dtype=float)
+    splits = loop_simplex_grid(config.n_unicast, grid_steps)
+    for tau in taus:
+        prelog = config.prelog(tau)
+        for fracs in itertools.product(pilot_fractions,
+                                       repeat=config.n_unicast):
+            p_up = np.asarray(fracs) * energy / tau
+            vartheta = estimation_variance_unicast(tau, p_up, beta)
+            gain = config.n_antennas * vartheta / (1.0 + beta * P)
+            obj_all = prelog * np.sum(
+                alpha * np.log2(1.0 + splits * p_un * gain), axis=1)
+            idx = int(np.argmax(obj_all))
+            if obj_all[idx] > best.objective:
+                best = optimizers.OracleResult(
+                    float(obj_all[idx]), tau, list(splits[idx] * p_un),
+                    list(p_up))
+    return best
+
+
+def oracle_cases():
+    """(config, profile, objective, grid_steps, fraction of P left to the
+    searched service) for the reference comparison."""
+    rng = np.random.default_rng(505)
+    for k in range(32):  # criterion 2/3-style, in both unit systems
+        config, profile = random_scenario(rng, u_max=3, g_max=2, k_max=2,
+                                          physical_units=k % 2 == 0)
+        yield (config, profile, "mmf", 250, float(rng.uniform(0.2, 1.0)))
+        yield (config, profile, "wsse", 40, float(rng.uniform(0.2, 1.0)))
+    one = make_system(n_unicast=1, n_groups=1, group_sizes=(1,))
+    one_profile = LargeScaleProfile(beta=[0.7], eta=[[1.3]])
+    # T = U + G + 1: two pilot lengths, the longer one with prelog 0
+    short = make_system(n_unicast=2, n_groups=1, group_sizes=(2,),
+                        coherence_symbols=4)
+    short_profile = LargeScaleProfile(beta=[0.8, 1.5], eta=[[1.0, 0.6]])
+    full = make_system(n_unicast=3, n_groups=2, group_sizes=(2, 2),
+                       weights=[0.5, 2.0, 1.25])
+    full_profile = LargeScaleProfile(beta=[0.8, 1.5, 0.3],
+                                     eta=[[1.0, 0.6], [0.2, 2.0]])
+    for config, profile in [(one, one_profile), (short, short_profile),
+                            (full, full_profile)]:
+        for objective, steps in [("mmf", 120), ("wsse", 30)]:
+            # 0.0: every objective is 0, so the first candidate wins
+            for share in (0.0, 0.6):
+                yield (config, profile, objective, steps, share)
+    # an objective that numpy's log2 rounds differently from math.log2
+    yield (one, one_profile, "mmf", 1, 0.0326872)
+
+
+class TestOracleMatchesLoopReference:
+    def test_same_result_as_the_loop_oracle(self):
+        n = 0
+        for config, profile, objective, steps, share in oracle_cases():
+            P = config.total_dl_power
+            kw = ({"p_un": (1.0 - share) * P} if objective == "mmf"
+                  else {"p_mu": (1.0 - share) * P})
+            assert brute_force_oracle(config, profile, objective, steps,
+                                      **kw) \
+                == loop_oracle(config, profile, objective, steps, **kw), \
+                (objective, steps, share, config)
+            n += 1
+        assert n >= 40
