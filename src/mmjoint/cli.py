@@ -17,21 +17,28 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
-from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .closed_form import InfeasibleAllocationError, PowerAllocation
-from .montecarlo import MIN_REALIZATIONS, empirical_sinr, usable_cpus
+from .montecarlo import (
+    MIN_REALIZATIONS,
+    NonFiniteSums,
+    empirical_sinr,
+    usable_cpus,
+)
 from .optimizers import (
     MIN_CONVEXITY_POINTS,
+    boundary_convexity,
     brute_force_oracle,
-    check_convexity,
-    pareto_sweep,
+    mmf_arrays,
     solve_mmf,
     solve_wsse,
+    sweep_splits,
+    wsse_arrays,
 )
 from .scenario import (
     ATTENUATION_CONST,
@@ -374,44 +381,72 @@ def _write_atomic(path: Path, chunks):
         partial.unlink(missing_ok=True)
 
 
-def _write_lines(path: Path, provenance: dict, lines: list[str]):
-    """``lines`` under one '#' line that holds ``provenance``."""
-    header = "# " + json.dumps(provenance, sort_keys=True)
+class SeriesText(NamedTuple):
+    """One boundary series as the output files print it.
+
+    ``p_un`` holds the splits in increasing order and ``total`` their sum
+    P_un + P_mu.  ``grid`` holds the text 'p_un,p_mu' of each split, and
+    ``o_mu`` and ``o_un`` the text of each objective, all in '.17e' format.
+    Series on one grid can share its ``p_un`` and ``grid``.
+    """
+
+    p_un: np.ndarray
+    total: float
+    grid: list[str]
+    o_mu: list[str]
+    o_un: list[str]
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    return list(map("{:.17e}".format, values.tolist()))
+
+
+def grid_text(p_un: np.ndarray, p_mu: np.ndarray) -> list[str]:
+    """The 'p_un,p_mu' text of each split, for ``SeriesText.grid``."""
+    return list(map("{:.17e},{:.17e}".format, p_un.tolist(), p_mu.tolist()))
+
+
+def provenance_header(provenance: dict) -> str:
+    """The '#' line that holds ``provenance`` above a text file's data."""
+    return "# " + json.dumps(provenance, sort_keys=True)
+
+
+def _write_lines(path: Path, header: str, lines: list[str]):
     _write_atomic(path, ["\n".join([header, *lines]) + "\n"])
 
 
-def write_pareto_csv(path: Path, rows: list[tuple], provenance: dict):
-    """CSV with header N,p_un,p_mu,o_mu,o_un; provenance as '#' comments."""
+def write_pareto_csv(path: Path, series: dict, header: str):
+    """CSV with header N,p_un,p_mu,o_mu,o_un under the provenance line
+    ``header``; rows sorted by N, then by p_un.  ``series`` maps N to its
+    ``SeriesText``."""
     lines = ["N,p_un,p_mu,o_mu,o_un"]
-    lines += itertools.starmap("{},{:.17e},{:.17e},{:.17e},{:.17e}".format,
-                               rows)
-    _write_lines(path, provenance, lines)
+    for n in sorted(series):
+        s = series[n]
+        lines += map(f"{n},{{}},{{}},{{}}".format, s.grid, s.o_mu, s.o_un)
+    _write_lines(path, header, lines)
 
 
 def emit_plotdata(
-    points_by_n: dict, path: Path, provenance: dict,
-    radial_ratios=RADIAL_RATIOS,
+    series: dict, path: Path, header: str, radial_ratios=RADIAL_RATIOS,
 ):
-    """Plain tab-delimited plot data: one (o_mu, o_un) series per antenna
-    count, plus radial-line annotations at fixed P_un/P power-split ratios.
-    A radial line takes the point whose p_un is nearest ratio * P, the lower
-    p_un on a tie."""
-    if not points_by_n:
+    """Plain tab-delimited plot data under the provenance line ``header``:
+    one (o_mu, o_un) series per antenna count of ``series`` (N ->
+    ``SeriesText``), in its order, plus radial-line annotations at fixed
+    P_un/P power-split ratios.  A radial line takes the point whose p_un is
+    nearest ratio * P, the lower p_un on a tie."""
+    if not series:
         raise ValueError("no sweep results to emit")
     lines = ["# columns: o_mu<TAB>o_un"]
-    series = {}  # n -> (p_un array, P, the points' formatted lines)
-    for n, points in points_by_n.items():
-        p_un, o_mu, o_un = zip(*((pt.p_un, pt.o_mu, pt.o_un)
-                                 for pt in points))
-        text = list(map("{:.17e}\t{:.17e}".format, o_mu, o_un))
-        series[n] = (np.array(p_un), points[0].p_un + points[0].p_mu, text)
+    text = {n: list(map("{}\t{}".format, s.o_mu, s.o_un))
+            for n, s in series.items()}
+    for n, rows in text.items():
         lines.append(f"# series N={n}")
-        lines += text
+        lines += rows
     for ratio in radial_ratios:
         lines.append(f"# radial P_un/P={ratio}")
-        for p_un, total, text in series.values():
-            lines.append(text[np.argmin(np.abs(p_un - ratio * total))])
-    _write_lines(path, provenance, lines)
+        lines += [text[n][np.argmin(np.abs(s.p_un - ratio * s.total))]
+                  for n, s in series.items()]
+    _write_lines(path, header, lines)
 
 
 def _write_json(path: Path, payload: dict):
@@ -425,26 +460,29 @@ def _write_json(path: Path, payload: dict):
 
 
 def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
-    if not cfg.total_dl_power > 0.0:
+    P = cfg.total_dl_power
+    if not P > 0.0:
         raise ConfigError("scenario.total_dl_power",
                           "a sweep needs a positive total downlink power")
-    points_by_n, rows, convexity = {}, [], {}
+    # one grid for every N: P and the point count do not depend on N
+    p_un, p_mu = sweep_splits(P, cfg.sweep["n_points"])
+    grid = grid_text(p_un, p_mu)
+    series, convexity = {}, {}
     for n in cfg.sweep["antenna_counts"]:
         system = cfg.system(n_antennas=n)
-        points = pareto_sweep(system, cfg.profile, cfg.sweep["n_points"])
-        points_by_n[n] = points
-        new_rows = [(n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un) for pt in points]
-        if not np.all(np.isfinite(new_rows)):
+        o_mu = mmf_arrays(system, cfg.profile, p_un).objective
+        o_un = wsse_arrays(system, cfg.profile, p_mu).objective
+        if not (np.all(np.isfinite(o_mu)) and np.all(np.isfinite(o_un))):
             raise ConfigError("scenario", _NON_FINITE)
-        rows += new_rows
-        convexity[str(n)] = asdict(check_convexity(points))
-    rows.sort(key=itemgetter(0, 1))
+        convexity[str(n)] = asdict(boundary_convexity(p_un, o_mu, o_un))
+        series[n] = SeriesText(p_un, P, grid, _texts(o_mu), _texts(o_un))
     prov = cfg.provenance()
     # the JSON check for non-finite values runs before any file is written
     _write_json(out_dir / "convexity_report.json",
                 {"provenance": prov, "convexity": convexity})
-    write_pareto_csv(out_dir / "pareto.csv", rows, prov)
-    emit_plotdata(points_by_n, out_dir / "pareto_plotdata.txt", prov)
+    header = provenance_header(prov)
+    write_pareto_csv(out_dir / "pareto.csv", series, header)
+    emit_plotdata(series, out_dir / "pareto_plotdata.txt", header)
     return 0
 
 
@@ -499,10 +537,13 @@ def _cmd_validate(cfg, args, out_dir: Path) -> int:
         tau=system.n_pilots,
     )
     mc = cfg.montecarlo
-    report = empirical_sinr(
-        system, cfg.profile, alloc, n_realizations=mc["n_realizations"],
-        seed=mc["seed"], n_workers=mc["n_workers"],
-    )
+    try:
+        report = empirical_sinr(
+            system, cfg.profile, alloc, n_realizations=mc["n_realizations"],
+            seed=mc["seed"], n_workers=mc["n_workers"],
+        )
+    except NonFiniteSums:
+        raise ConfigError("scenario", _NON_FINITE)
     _write_json(out_dir / "montecarlo_report.json",
                 {"provenance": cfg.provenance(), "p_un": p_un, "p_mu": p_mu,
                  "report": report.to_dict()})

@@ -34,10 +34,11 @@ releases the GIL in the normal fill and the matmuls, so the threads scale.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -243,7 +244,15 @@ class MonteCarloReport:
     multicast: list
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict`` of the report, built row by row."""
+        return {"n_realizations": self.n_realizations, "seed": self.seed,
+                "unicast": [dict(vars(row)) for row in self.unicast],
+                "multicast": [dict(vars(row)) for row in self.multicast]}
+
+
+class NonFiniteSums(ArithmeticError):
+    """The Monte Carlo sums overflowed (a huge power), so no finite report
+    exists; ``empirical_sinr`` stops at the first chunk where this shows."""
 
 
 class _Accumulator:
@@ -276,9 +285,13 @@ class _Accumulator:
                 getattr(self, name).__iadd__(val)
         return self
 
+    def is_finite(self) -> bool:
+        return all(np.all(np.isfinite(val)) for name, val in vars(self).items()
+                   if name != "n")
 
-# a huge power overflows the squared powers, and the report's non-finite
-# values then fail its JSON write; set per call, as errstate is per thread
+
+# a huge power overflows the squared powers, and empirical_sinr then raises
+# NonFiniteSums; set per call, as errstate is per thread
 _QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
 
 
@@ -404,7 +417,9 @@ def empirical_sinr(
     """Estimate every SINR decomposition term by sample averaging.
 
     Results are bit-identical for fixed (seed, n_realizations) regardless of
-    ``n_workers``, which defaults to ``usable_cpus()``.
+    ``n_workers``, which defaults to ``usable_cpus()``.  Raises
+    ``NonFiniteSums`` as soon as the folded sums are not all finite: sums
+    that overflow stay non-finite, so the pending chunks are cancelled.
     """
     if n_realizations < MIN_REALIZATIONS:
         raise ValueError(f"n_realizations must be at least {MIN_REALIZATIONS}")
@@ -424,10 +439,15 @@ def empirical_sinr(
     # as the chunks finish
     if n_workers is None:
         n_workers = usable_cpus()
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        total = functools.reduce(
-            _Accumulator.merge,
-            _in_order(pool, run, chunks, _WINDOW_PER_WORKER * n_workers))
+    with ThreadPoolExecutor(max_workers=n_workers) as pool, contextlib.closing(
+            _in_order(pool, run, chunks,
+                      _WINDOW_PER_WORKER * n_workers)) as finished:
+        total = None
+        for acc in finished:
+            total = acc if total is None else total.merge(acc)
+            if not total.is_finite():  # closing cancels the pending chunks
+                raise NonFiniteSums(
+                    f"the sums overflow within {total.n} realizations")
 
     unicast, multicast = _breakdowns(config, profile, alloc, stats, own_col,
                                      total)

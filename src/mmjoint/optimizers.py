@@ -4,10 +4,16 @@ the Pareto-boundary sweep that couples them through the shared power budget, a
 convexity check of the swept boundary, and a brute-force grid oracle used to
 validate the closed forms on tiny instances.
 
-The solvers evaluate a whole array of power splits per call; ``solve_mmf`` and
-``solve_wsse`` are its one-split case and ``pareto_sweep`` its full grid.  The
-solutions from one call share their split-independent values (pilot powers,
-upsilon, x_star, vartheta_star).
+The array core: ``mmf_arrays`` and ``wsse_arrays`` evaluate a whole array of
+power splits in one pass and return one array per per-split quantity (the
+objectives, the common SINR Gamma, the downlink powers ``q_dl``/``p_dl``, the
+water level nu) next to the split-independent values (pilot powers, upsilon,
+x_star, vartheta_star), which are computed once.  ``boundary_convexity``
+checks a boundary given as the arrays ``(p_un, o_mu, o_un)``.  The per-point
+objects wrap this core: ``solve_mmf`` and ``solve_wsse`` are its one-split
+case, ``pareto_sweep`` runs it over the grid of ``sweep_splits``, and
+``check_convexity`` passes the swept points to ``boundary_convexity``.  The
+CLI's ``pareto`` reads the arrays directly.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -89,9 +94,26 @@ class ConvexityReport:
     dominance_violation: float
 
 
-def _mmf_solutions(
+@dataclass
+class MmfArrays:
+    """Max-min-fair solutions for an array of n unicast powers.
+
+    ``objective``, ``common_sinr`` (n,) and ``q_dl`` (n, G) hold one row per
+    split; the other fields do not depend on the split.
+    """
+
+    objective: np.ndarray
+    common_sinr: np.ndarray
+    q_dl: np.ndarray
+    q_up: Grouped
+    tau: int
+    upsilon: np.ndarray
+    x_star: Grouped
+
+
+def mmf_arrays(
     config: SystemConfig, profile: LargeScaleProfile, p_un: np.ndarray
-) -> list[MmfSolution]:
+) -> MmfArrays:
     """Max-min-fair solutions for every unicast power in ``p_un``."""
     config.check_users("profile", len(profile.beta), profile.eta)
     P = config.total_dl_power
@@ -116,14 +138,19 @@ def _mmf_solutions(
     objective = config.prelog(tau) * np.log2(1.0 + common_sinr)
     if not (np.isfinite(denom) and np.all(np.isfinite(q_per_sinr))):
         objective[:] = np.nan  # overflow (a huge P): no finite answer
+    return MmfArrays(objective, common_sinr, q_dl,
+                     Grouped(x_star / tau, layout), tau, upsilon,
+                     Grouped(x_star, layout))
 
-    q_up = Grouped(x_star / tau, layout)
-    upsilon = upsilon.tolist()
-    x_star = Grouped(x_star, layout)
+
+def _mmf_solutions(core: MmfArrays) -> list[MmfSolution]:
+    """One ``MmfSolution`` per split of ``core``; they share its
+    split-independent values."""
     # positional, in field order: the cheapest way to build many of them
-    return list(map(MmfSolution, objective.tolist(), common_sinr.tolist(),
-                    q_dl.tolist(), repeat(q_up), repeat(tau), repeat(upsilon),
-                    repeat(x_star)))
+    return list(map(MmfSolution, core.objective.tolist(),
+                    core.common_sinr.tolist(), core.q_dl.tolist(),
+                    repeat(core.q_up), repeat(core.tau),
+                    repeat(core.upsilon.tolist()), repeat(core.x_star)))
 
 
 def solve_mmf(
@@ -138,12 +165,30 @@ def solve_mmf(
     """
     if not 0.0 <= p_un <= config.total_dl_power:
         raise ValueError("p_un must lie in [0, total_dl_power]")
-    return _mmf_solutions(config, profile, np.array([p_un], dtype=float))[0]
+    core = mmf_arrays(config, profile, np.array([p_un], dtype=float))
+    return _mmf_solutions(core)[0]
 
 
-def _wsse_solutions(
+@dataclass
+class WsseArrays:
+    """Weighted-sum-SE solutions for an array of n multicast powers.
+
+    ``objective`` (n,), ``p_dl`` (n, U) and the water level ``nu`` (n,;
+    infinite where no unicast user is active) hold one row per split; the
+    other fields do not depend on the split.
+    """
+
+    objective: np.ndarray
+    p_dl: np.ndarray
+    nu: np.ndarray
+    p_up: np.ndarray
+    tau: int
+    vartheta_star: np.ndarray
+
+
+def wsse_arrays(
     config: SystemConfig, profile: LargeScaleProfile, p_mu: np.ndarray
-) -> list[WsseSolution]:
+) -> WsseArrays:
     """Weighted-sum-SE solutions for every multicast power in ``p_mu``.
 
     User i gets max(0, alpha_i/(nu ln2) - f_i) over its floor f_i.  Sorted by
@@ -183,13 +228,16 @@ def _wsse_solutions(
     if not np.all(np.isfinite(entry)):  # the floors or their sums overflow
         objective[:] = np.nan
 
-    p_up = (energy / tau).tolist()
-    vartheta = vartheta.tolist()
-    # positional, as in _mmf_solutions; no water level where no unicast
-    # user is active
-    return list(map(WsseSolution, objective.tolist(), p_dl.tolist(),
-                    repeat(p_up), repeat(tau), np.where(on, nu, None).tolist(),
-                    repeat(vartheta)))
+    return WsseArrays(objective, p_dl, nu, energy / tau, tau, vartheta)
+
+
+def _wsse_solutions(core: WsseArrays) -> list[WsseSolution]:
+    """One ``WsseSolution`` per split of ``core``, as ``_mmf_solutions``."""
+    p_up, vartheta = core.p_up.tolist(), core.vartheta_star.tolist()
+    # no water level where no unicast user is active
+    nu = np.where(np.isfinite(core.nu), core.nu, None).tolist()
+    return list(map(WsseSolution, core.objective.tolist(), core.p_dl.tolist(),
+                    repeat(p_up), repeat(core.tau), nu, repeat(vartheta)))
 
 
 def solve_wsse(
@@ -202,39 +250,53 @@ def solve_wsse(
     """
     if not 0.0 <= p_mu <= config.total_dl_power:
         raise ValueError("p_mu must lie in [0, total_dl_power]")
-    return _wsse_solutions(config, profile, np.array([p_mu], dtype=float))[0]
+    core = wsse_arrays(config, profile, np.array([p_mu], dtype=float))
+    return _wsse_solutions(core)[0]
+
+
+def sweep_splits(P: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform grid of ``n_points`` splits P_un + P_mu = P, as the arrays
+    (p_un, p_mu), p_un increasing from 0 to P."""
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
+    p_un = np.linspace(0.0, 1.0, n_points) * P
+    return p_un, P - p_un
 
 
 def pareto_sweep(
     config: SystemConfig, profile: LargeScaleProfile, n_points: int = 21
 ) -> list[ParetoPoint]:
     """Sweep the boundary P_un + P_mu = P over a uniform grid of power splits."""
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    P = config.total_dl_power
-    p_un = np.linspace(0.0, 1.0, n_points) * P
-    p_mu = P - p_un
-    mmf = _mmf_solutions(config, profile, p_un)
-    wsse = _wsse_solutions(config, profile, p_mu)
-    objective = attrgetter("objective")
+    p_un, p_mu = sweep_splits(config.total_dl_power, n_points)
+    mmf = mmf_arrays(config, profile, p_un)
+    wsse = wsse_arrays(config, profile, p_mu)
     return list(map(ParetoPoint, p_un.tolist(), p_mu.tolist(),
-                    map(objective, mmf), map(objective, wsse), mmf, wsse))
+                    mmf.objective.tolist(), wsse.objective.tolist(),
+                    _mmf_solutions(mmf), _wsse_solutions(wsse)))
 
 
 def check_convexity(
     points: list[ParetoPoint], tol: float = 1e-9
 ) -> ConvexityReport:
-    """Verify the swept boundary bounds a convex attainable region.
+    """``boundary_convexity`` of the swept points."""
+    p_un, o_mu, o_un = np.array(
+        [(pt.p_un, pt.o_mu, pt.o_un) for pt in points]).reshape(-1, 3).T
+    return boundary_convexity(p_un, o_mu, o_un, tol)
+
+
+def boundary_convexity(
+    p_un: np.ndarray, o_mu: np.ndarray, o_un: np.ndarray, tol: float = 1e-9
+) -> ConvexityReport:
+    """Verify the boundary points (p_un, o_mu, o_un) bound a convex
+    attainable region.
 
     Checks concavity of o_un as a function of o_mu (consecutive slopes must be
     non-increasing) and that midpoints of all boundary-point pairs are weakly
     dominated by the piecewise-linear boundary itself.  The O(n^2) pairs are
     evaluated in blocks of about ``_PAIR_BLOCK``, so memory stays O(block).
     """
-    if len(points) < MIN_CONVEXITY_POINTS:
+    if len(p_un) < MIN_CONVEXITY_POINTS:
         raise ValueError(f"need at least {MIN_CONVEXITY_POINTS} points")
-    p_un, o_mu, o_un = np.array(
-        [(pt.p_un, pt.o_mu, pt.o_un) for pt in points]).T
     if np.any(np.diff(p_un) <= 0):
         raise ValueError("points must be sorted by strictly increasing p_un")
     if not (np.all(np.isfinite(o_mu)) and np.all(np.isfinite(o_un))):

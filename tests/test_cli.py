@@ -5,20 +5,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from mmjoint import montecarlo
 from mmjoint.cli import (
     ConfigError,
     DEFAULT_CONFIG,
+    SeriesText,
     _write_json,
     build_parser,
     emit_plotdata,
+    grid_text,
     load_config,
     load_config_file,
     main,
+    provenance_header,
     write_pareto_csv,
 )
-from mmjoint.optimizers import ParetoPoint, pareto_sweep, solve_mmf
+from mmjoint.optimizers import (
+    ParetoPoint,
+    check_convexity,
+    pareto_sweep,
+    solve_mmf,
+)
 
 SMALL_CONFIG = {
     "scenario": {
@@ -254,6 +264,47 @@ class TestPareto:
         assert err["field"] == "--points"
         assert not (tmp_path / "run").exists()
 
+    def test_same_bytes_as_the_per_point_path(self, tmp_path):
+        # unsorted antenna counts: the CSV sorts by N, the plot keeps the
+        # config's order
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "small.json").read_text())
+        raw["sweep"]["antenna_counts"] = [64, 32]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["pareto", "--config", str(path), "--out", str(out),
+                     "--points", "7"]) == 0
+
+        cfg = load_config(raw, {"sweep": {"n_points": 7}})
+        prov = cfg.provenance()
+        points_by_n = {n: pareto_sweep(cfg.system(n), cfg.profile, 7)
+                       for n in (64, 32)}
+        header = "# " + json.dumps(prov, sort_keys=True)
+        rows = sorted((n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un)
+                      for n, pts in points_by_n.items() for pt in pts)
+        csv = [header, "N,p_un,p_mu,o_mu,o_un"] + [
+            f"{n},{a:.17e},{b:.17e},{c:.17e},{d:.17e}"
+            for n, a, b, c, d in rows]
+        plot = [header, "# columns: o_mu<TAB>o_un"]
+        for n, pts in points_by_n.items():
+            plot.append(f"# series N={n}")
+            plot += [f"{pt.o_mu:.17e}\t{pt.o_un:.17e}" for pt in pts]
+        for ratio in (0.25, 0.5, 0.75):
+            plot.append(f"# radial P_un/P={ratio}")
+            for pts in points_by_n.values():
+                total = pts[0].p_un + pts[0].p_mu
+                pt = min(pts, key=lambda p: abs(p.p_un - ratio * total))
+                plot.append(f"{pt.o_mu:.17e}\t{pt.o_un:.17e}")
+        report = {"provenance": prov, "convexity": {
+            str(n): vars(check_convexity(pts))
+            for n, pts in points_by_n.items()}}
+        assert (out / "pareto.csv").read_text() == "\n".join(csv) + "\n"
+        assert (out / "pareto_plotdata.txt").read_text() == \
+            "\n".join(plot) + "\n"
+        assert (out / "convexity_report.json").read_text() == json.dumps(
+            report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
     def test_determinism_byte_identical(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["pareto", "--config", config_path, "--out", str(out1)])
@@ -398,6 +449,29 @@ class TestPowerBudgetBounds:
         assert err["field"] == "scenario"
         assert list(out.iterdir()) == []
 
+    def test_validate_stops_at_the_first_overflowing_chunk(
+            self, tmp_path, capsys, monkeypatch):
+        # every realization overflows the squared powers at this power
+        path = Path(budget_config(tmp_path, 1e200, 10.0))
+        raw = json.loads(path.read_text())
+        raw["montecarlo"].update(n_realizations=20000, n_workers=2)
+        path.write_text(json.dumps(raw))
+        run_chunk, calls = montecarlo._run_chunk, []
+
+        def counted(*args):
+            calls.append(args[-1][0])
+            return run_chunk(*args)
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", counted)
+        out = tmp_path / "run"
+        assert main(["validate", "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", "scenario")
+        assert list(out.iterdir()) == []
+        window = 2 * montecarlo._WINDOW_PER_WORKER
+        assert 1 <= len(calls) <= 1 + window
+
 
 class TestWriteJson:
     def test_failed_write_leaves_earlier_file_and_no_partial(self,
@@ -454,6 +528,19 @@ class TestValidate:
         assert outs[0] == outs[1]
 
 
+def series_text(points_by_n: dict) -> dict:
+    """Each series of boundary points as the writers take it."""
+    texts = {}
+    for n, pts in points_by_n.items():
+        p_un, p_mu, o_mu, o_un = np.array(
+            [(pt.p_un, pt.p_mu, pt.o_mu, pt.o_un) for pt in pts]).T
+        texts[n] = SeriesText(p_un, pts[0].p_un + pts[0].p_mu,
+                              grid_text(p_un, p_mu),
+                              [f"{v:.17e}" for v in o_mu.tolist()],
+                              [f"{v:.17e}" for v in o_un.tolist()])
+    return texts
+
+
 class TestEmitPlotdata:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -470,10 +557,12 @@ class TestEmitPlotdata:
         points_by_n[16] = halfway
         ratios = (0.25, 0.375, 0.5, 0.75)
         prov = {"tool": "test"}
-        emit_plotdata(points_by_n, tmp_path / "plot.txt", prov, ratios)
+        emit_plotdata(series_text(points_by_n), tmp_path / "plot.txt",
+                      provenance_header(prov), ratios)
         rows = sorted((n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un)
                       for n, pts in points_by_n.items() for pt in pts)
-        write_pareto_csv(tmp_path / "pareto.csv", rows, prov)
+        write_pareto_csv(tmp_path / "pareto.csv", series_text(points_by_n),
+                         provenance_header(prov))
 
         header = "# " + json.dumps(prov, sort_keys=True)
         plot = [header, "# columns: o_mu<TAB>o_un"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -297,6 +298,13 @@ class TestEmpiricalSinr:
             seq = empirical_sinr(*scenario, 1500, seed=21, n_workers=1)
             par = empirical_sinr(*scenario, 1500, seed=21, n_workers=4)
             assert seq.to_dict() == par.to_dict()
+
+    def test_report_dict_is_asdict(self, config, profile, alloc,
+                                   three_groups):
+        for scenario in ((config, profile, alloc), three_groups):
+            report = empirical_sinr(*scenario, 200, seed=26, n_workers=1)
+            assert report.to_dict() == dataclasses.asdict(report)
+            assert report.to_dict()["multicast"][0]["index"] == (0, 0)
 
     def test_no_worker_outlives_the_call(self, config, profile, alloc):
         threads_before = threading.active_count()

@@ -282,6 +282,47 @@ class TestParetoSweep:
             assert pt.mmf == solve_mmf(config, profile, pt.p_un)
             assert pt.wsse == solve_wsse(config, profile, pt.p_mu)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_core_arrays_equal_the_wrapped_fields(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        config, profile = random_scenario(rng, u_max=8, g_max=3, k_max=4)
+        pts = pareto_sweep(config, profile, n_points=31)
+        p_un, p_mu = optimizers.sweep_splits(config.total_dl_power, 31)
+        mmf = optimizers.mmf_arrays(config, profile, p_un)
+        wsse = optimizers.wsse_arrays(config, profile, p_mu)
+        assert p_un.tolist() == [pt.p_un for pt in pts]
+        assert p_mu.tolist() == [pt.p_mu for pt in pts]
+        assert mmf.objective.tolist() == [pt.o_mu for pt in pts] \
+            == [pt.mmf.objective for pt in pts]
+        assert mmf.common_sinr.tolist() == [pt.mmf.common_sinr for pt in pts]
+        assert mmf.q_dl.tolist() == [pt.mmf.q_dl for pt in pts]
+        assert wsse.objective.tolist() == [pt.o_un for pt in pts] \
+            == [pt.wsse.objective for pt in pts]
+        assert wsse.p_dl.tolist() == [pt.wsse.p_dl for pt in pts]
+        # no water level where no unicast power is left: at p_un = 0 only
+        assert [None if math.isinf(nu) else nu for nu in wsse.nu.tolist()] \
+            == [pt.wsse.water_level_nu for pt in pts]
+        assert pts[0].wsse.water_level_nu is None
+        for pt in pts:
+            assert (pt.mmf.q_up, pt.mmf.tau, pt.mmf.upsilon, pt.mmf.x_star) \
+                == (mmf.q_up, mmf.tau, mmf.upsilon.tolist(), mmf.x_star)
+            assert (pt.wsse.p_up, pt.wsse.tau, pt.wsse.vartheta_star) == (
+                wsse.p_up.tolist(), wsse.tau, wsse.vartheta_star.tolist())
+        assert optimizers.boundary_convexity(
+            p_un, mmf.objective, wsse.objective) == check_convexity(pts)
+
+    def test_one_split_solvers_are_the_core_at_one_split(self, small_system,
+                                                         small_profile):
+        split = np.array([0.3 * small_system.total_dl_power])
+        mmf = optimizers.mmf_arrays(small_system, small_profile, split)
+        wsse = optimizers.wsse_arrays(small_system, small_profile, split)
+        sol = solve_mmf(small_system, small_profile, split[0])
+        assert (sol.objective, sol.common_sinr, sol.q_dl) == (
+            mmf.objective[0], mmf.common_sinr[0], mmf.q_dl[0].tolist())
+        sol = solve_wsse(small_system, small_profile, split[0])
+        assert (sol.objective, sol.p_dl, sol.water_level_nu) == (
+            wsse.objective[0], wsse.p_dl[0].tolist(), wsse.nu[0])
+
 
 def fake_point(p_un, o_mu, o_un):
     return ParetoPoint(p_un=p_un, p_mu=1.0 - p_un, o_mu=o_mu, o_un=o_un,
