@@ -9,7 +9,9 @@ power splits in one pass and return one array per per-split quantity (the
 objectives, the common SINR Gamma, the downlink powers ``q_dl``/``p_dl``, the
 water level nu) next to the split-independent values (pilot powers, upsilon,
 x_star, vartheta_star), which are computed once.  ``boundary_convexity``
-checks a boundary given as the arrays ``(p_un, o_mu, o_un)``.  The per-point
+checks a boundary given as the arrays ``(p_un, o_mu, o_un)``: its midpoint
+test visits O(n) pairs when a rounding-aware slope certificate shows the
+boundary concave, and all n(n-1)/2 pairs otherwise.  The per-point
 objects wrap this core: ``solve_mmf`` and ``solve_wsse`` are its one-split
 case, ``pareto_sweep`` runs it over the grid of ``sweep_splits``, and
 ``check_convexity`` passes the swept points to ``boundary_convexity``.  The
@@ -19,6 +21,7 @@ CLI's ``pareto`` reads the arrays directly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -35,8 +38,9 @@ LN2 = math.log(2.0)
 # fewest boundary points check_convexity can judge (two consecutive slopes)
 MIN_CONVEXITY_POINTS = 3
 
-# boundary-point pairs check_convexity evaluates per block (at least one
-# row of pairs), so its temporaries do not grow with the square of the points
+# boundary-point pairs boundary_convexity evaluates per chunk (at least one
+# offset of every open row), so its temporaries do not grow with the square of
+# the points
 _PAIR_BLOCK = 1 << 14
 
 # the brute-force oracle's pilot lengths U+G .. U+G+ORACLE_TAU_SPAN (capped
@@ -292,15 +296,42 @@ def boundary_convexity(
 
     Checks concavity of o_un as a function of o_mu (consecutive slopes must be
     non-increasing) and that midpoints of all boundary-point pairs are weakly
-    dominated by the piecewise-linear boundary itself.  The O(n^2) pairs are
-    evaluated in blocks of about ``_PAIR_BLOCK``, so memory stays O(block).
+    dominated by the piecewise-linear boundary itself.  With the points sorted
+    by o_mu as knots (x, y), pair (i, j) computes
+    ``0.5*(y_i + y_j) - np.interp(0.5*(x_i + x_j), x, y)`` and the dominance
+    violation is the largest of these and 0.
+
+    Pairs are visited by offset, (i, i + d) for d = 1, 2, ... over the rows
+    i still open, at least one offset and otherwise about ``_PAIR_BLOCK``
+    pairs at a time, so memory stays O(block).  A row retires once one of its
+    values is below -2E; its later pairs cannot raise the maximum:
+
+    - certificate: if every ``np.diff(slopes)[k]`` is below
+      -(4*eps*(|s_k| + |s_k+1|) + tiny) and max|x|, max|y| stay below an
+      eighth of the largest float (no sum overflows), the exact interpolant
+      f through the float knots is concave (the computed slopes are within
+      about 1.5*eps of the exact ones);
+    - for a concave f the gap g(i, j) = f((x_i + x_j)/2) - (y_i + y_j)/2
+      does not decrease as j moves away from i;
+    - E = 8*eps*(max|y| + max|slope|*max|x|) + tiny*(1 + max|slope| +
+      max|x|) bounds |computed value + g| for any pair: the rounded
+      midpoints, the arithmetic of ``np.interp`` and the final subtraction
+      need about 2*eps*max|y| + 5.5*eps*max|slope|*max|x|, and the tiny
+      (smallest normal) terms cover underflow;
+    - so once a value is below -2E, every later pair of its row computes to
+      a value below 0, and the maximum starts at 0.
+
+    Inputs without the certificate take E = inf and visit every pair j > i
+    once, which is O(n^2); certified real sweeps retire every row within the
+    second chunk, so they visit O(n) pairs.  The report is the same as
+    evaluating every pair.
     """
     if len(p_un) < MIN_CONVEXITY_POINTS:
         raise ValueError(f"need at least {MIN_CONVEXITY_POINTS} points")
+    if not all(np.all(np.isfinite(v)) for v in (p_un, o_mu, o_un)):
+        raise ValueError("boundary p_un, o_mu and o_un values must be finite")
     if np.any(np.diff(p_un) <= 0):
         raise ValueError("points must be sorted by strictly increasing p_un")
-    if not (np.all(np.isfinite(o_mu)) and np.all(np.isfinite(o_un))):
-        raise ValueError("boundary objective values must be finite")
 
     order = np.argsort(o_mu)
     x, y = o_mu[order], o_un[order]
@@ -309,23 +340,37 @@ def boundary_convexity(
     if np.any(dx <= 0):
         raise ValueError("boundary o_mu values must be distinct")
     slopes = np.diff(y) / dx
-    slope_violation = float(max(0.0, np.max(np.diff(slopes), initial=0.0)))
+    curvature = np.diff(slopes)
+    slope_violation = float(max(0.0, np.max(curvature, initial=0.0)))
 
-    # pairs (i, j) for rows i in [a, b) and columns j in [a, n), about
-    # _PAIR_BLOCK of them per block; the pairs j <= i that this adds repeat
-    # (j, i) exactly (addition commutes) or give exactly 0 (i == j: interp
-    # at a knot returns its y)
+    # Python floats, so that E overflows to inf without a warning
+    eps, tiny, huge = (sys.float_info.epsilon, sys.float_info.min,
+                       sys.float_info.max)
+    s_abs = np.abs(slopes)
+    x_max, y_max, s_max = (float(np.max(v))
+                           for v in (np.abs(x), np.abs(y), s_abs))
+    certified = bool(max(x_max, y_max) < huge / 8.0 and np.all(
+        curvature < -(4.0 * eps * (s_abs[:-1] + s_abs[1:]) + tiny)))
+    bound = (8.0 * eps * (y_max + s_max * x_max)
+             + tiny * (1.0 + s_max + x_max)) if certified else math.inf
+
     n = len(x)
     dominance_violation = 0.0
-    a = 0
-    while a < n - 1:
-        b = min(n, a + max(1, _PAIR_BLOCK // (n - a)))
-        mid_x = 0.5 * (x[a:b, None] + x[a:])
-        mid_y = 0.5 * (y[a:b, None] + y[a:])
-        dominance_violation = max(
-            dominance_violation, float(np.max(mid_y - np.interp(mid_x, x, y)))
-        )
-        a = b
+    is_open, rows, d = np.ones(n - 1, dtype=bool), np.arange(n - 1), 1
+    while rows.size:
+        # offsets [d, d + k) of every open row, k = d unless that passes
+        # _PAIR_BLOCK pairs
+        k = max(1, min(d, _PAIR_BLOCK // rows.size))
+        i = np.repeat(rows, k)
+        j = i + np.tile(np.arange(d, d + k), rows.size)
+        keep = j < n
+        i, j = i[keep], j[keep]
+        gap = (0.5 * (y.take(i) + y.take(j))
+               - np.interp(0.5 * (x.take(i) + x.take(j)), x, y))
+        dominance_violation = max(dominance_violation, float(np.max(gap)))
+        d += k
+        is_open[i[gap < -2.0 * bound]] = False
+        rows = rows[is_open[rows] & (rows < n - d)]
 
     max_violation = max(slope_violation, dominance_violation)
     return ConvexityReport(

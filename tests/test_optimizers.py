@@ -1,9 +1,10 @@
+import copy
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmjoint.closed_form import (
@@ -14,6 +15,7 @@ from mmjoint.closed_form import (
     evaluate,
 )
 from mmjoint import optimizers
+from mmjoint.cli import DEFAULT_CONFIG, load_config
 from mmjoint.optimizers import (
     ConvexityReport,
     OracleInstanceTooLarge,
@@ -422,6 +424,132 @@ class TestBlockedConvexityCheck:
 
     def test_rejects_non_finite_values(self):
         pts = [fake_point(0.0, 3.0, 0.0), fake_point(0.5, 2.0, math.nan),
+               fake_point(1.0, 1.0, 2.0)]
+        with pytest.raises(ValueError, match="finite"):
+            check_convexity(pts)
+
+
+def dense_sweep(n_antennas, n_points):
+    """(p_un, o_mu, o_un) of the pareto-dense boundary: the default scenario,
+    seed-1 drop."""
+    cfg = load_config(copy.deepcopy(DEFAULT_CONFIG))
+    p_un, p_mu = optimizers.sweep_splits(cfg.total_dl_power, n_points)
+    system = cfg.system(n_antennas=n_antennas)
+    return (p_un, optimizers.mmf_arrays(system, cfg.profile, p_un).objective,
+            optimizers.wsse_arrays(system, cfg.profile, p_mu).objective)
+
+
+def as_points(p_un, o_mu, o_un):
+    return [fake_point(*v) for v in zip(np.asarray(p_un).tolist(),
+                                        np.asarray(o_mu).tolist(),
+                                        np.asarray(o_un).tolist())]
+
+
+def interp_elements(monkeypatch, p_un, o_mu, o_un):
+    """Midpoints boundary_convexity passes to np.interp."""
+    count, interp = [0], np.interp
+
+    def counted(x, *args, **kwargs):
+        count[0] += np.size(x)
+        return interp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counted)
+    optimizers.boundary_convexity(p_un, o_mu, o_un)
+    monkeypatch.setattr(np, "interp", interp)
+    return count[0]
+
+
+class TestCertifiedConvexityCheck:
+    @pytest.mark.parametrize("n_antennas, n_points", [
+        (50, 1001), (100, 1001), (200, 1001), (100, 4001)])
+    def test_dense_sweep_equals_row_by_row(self, n_antennas, n_points,
+                                           monkeypatch):
+        p_un, o_mu, o_un = dense_sweep(n_antennas, n_points)
+        expected = row_by_row_convexity(as_points(p_un, o_mu, o_un))
+        n = n_points
+        for block in (optimizers._PAIR_BLOCK, 1, 2, n - 1, n, n * n):
+            monkeypatch.setattr(optimizers, "_PAIR_BLOCK", block)
+            assert optimizers.boundary_convexity(p_un, o_mu, o_un) \
+                == expected
+
+    @given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1),
+           spread=st.floats(1.0, 6.0),
+           curve=st.sampled_from(["parabola", "sqrt", "log"]),
+           x_exp=st.floats(-6.0, 6.0), y_exp=st.floats(-6.0, 6.0),
+           x_offset=st.sampled_from([0.0, 1e6]),
+           y_offset=st.sampled_from([0.0, 1e6]),
+           perturb=st.none() | st.tuples(st.integers(0, 59),
+                                         st.floats(-15.0, -1.0),
+                                         st.sampled_from([-1.0, 1.0])),
+           block=st.sampled_from([1, 2, 1 << 14]))
+    @settings(max_examples=300, deadline=None)
+    def test_concave_curves_equal_row_by_row(self, n, seed, spread, curve,
+                                             x_exp, y_exp, x_offset,
+                                             y_offset, perturb, block):
+        # strictly concave y(x) on randomly spaced knots (gaps spanning up to
+        # 12 decades); the offsets make rounding large next to the curvature
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.uniform(0.01, 1.0, n) ** spread)
+        t = (t - t[0]) / (t[-1] - t[0])
+        shift = rng.uniform(1e-9, 1.0)
+        g = {"parabola": -(t - rng.uniform(-1.0, 2.0)) ** 2,
+             "sqrt": np.sqrt(t + shift), "log": np.log(t + shift)}[curve]
+        x = 10.0 ** x_exp * t + x_offset
+        y = 10.0 ** y_exp * g + y_offset
+        if perturb is not None:
+            k, size_exp, sign = perturb
+            y[k % n] += sign * 10.0 ** (y_exp + size_exp)
+        assume(np.all(np.diff(x) > 0))
+        p_un, o_mu, o_un = np.arange(n, dtype=float), x[::-1], y[::-1]
+        expected = row_by_row_convexity(as_points(p_un, o_mu, o_un))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizers, "_PAIR_BLOCK", block)
+            assert optimizers.boundary_convexity(p_un, o_mu, o_un) \
+                == expected
+
+    def test_offset_grids_where_midpoints_round(self):
+        # x = 1e6 + tiny gaps: rounding a midpoint moves the interpolant by
+        # up to about eps*max|slope|*max|x|, more than the gaps of near
+        # pairs, so a row may retire only below -2E, not below 0
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 12))
+            t = np.cumsum(rng.uniform(0.01, 1.0, n) ** rng.uniform(1.0, 6.0))
+            t = (t - t[0]) / (t[-1] - t[0])
+            x = 1e6 + 10.0 ** rng.uniform(-6.0, 0.0) * t
+            y = -(10.0 ** rng.uniform(0.0, 6.0)) \
+                * (t - rng.uniform(-1.0, 2.0)) ** 2
+            if np.any(np.diff(x) <= 0):
+                continue
+            p_un, o_mu, o_un = np.arange(n, dtype=float), x[::-1], y[::-1]
+            assert optimizers.boundary_convexity(p_un, o_mu, o_un) \
+                == row_by_row_convexity(as_points(p_un, o_mu, o_un))
+
+    def test_certified_sweep_visits_linear_pairs(self, monkeypatch):
+        p_un, o_mu, o_un = dense_sweep(100, 1001)
+        n = len(p_un)
+        assert interp_elements(monkeypatch, p_un, o_mu, o_un) <= 4 * n
+
+    @pytest.mark.parametrize("kind", ["non-concave", "concave-plus-noise",
+                                      "collinear"])
+    def test_uncertified_input_visits_each_pair_once_at_most(
+            self, kind, monkeypatch):
+        n = 200
+        p_un, o_mu, o_un = np.array(
+            [(pt.p_un, pt.o_mu, pt.o_un)
+             for pt in boundary(kind, n, np.random.default_rng(7))]).T
+        for block in (optimizers._PAIR_BLOCK, 1, 2, n - 1, n, n * n):
+            monkeypatch.setattr(optimizers, "_PAIR_BLOCK", block)
+            assert interp_elements(monkeypatch, p_un, o_mu, o_un) \
+                <= n * (n - 1) // 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_p_un(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            optimizers.boundary_convexity(
+                np.array([0.0, bad, 1.0]), np.array([3.0, 2.0, 1.0]),
+                np.array([0.0, 1.0, 2.0]))
+        pts = [fake_point(0.0, 3.0, 0.0), fake_point(bad, 2.0, 1.0),
                fake_point(1.0, 1.0, 2.0)]
         with pytest.raises(ValueError, match="finite"):
             check_convexity(pts)
