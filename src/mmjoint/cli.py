@@ -24,12 +24,7 @@ import numpy as np
 
 from . import __version__
 from .closed_form import InfeasibleAllocationError, PowerAllocation
-from .montecarlo import (
-    MIN_REALIZATIONS,
-    NonFiniteSums,
-    empirical_sinr,
-    usable_cpus,
-)
+from .montecarlo import MIN_REALIZATIONS, empirical_sinr, usable_cpus
 from .optimizers import (
     MIN_CONVEXITY_POINTS,
     boundary_convexity,
@@ -472,8 +467,6 @@ def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
         system = cfg.system(n_antennas=n)
         o_mu = mmf_arrays(system, cfg.profile, p_un).objective
         o_un = wsse_arrays(system, cfg.profile, p_mu).objective
-        if not (np.all(np.isfinite(o_mu)) and np.all(np.isfinite(o_un))):
-            raise ConfigError("scenario", _NON_FINITE)
         convexity[str(n)] = asdict(boundary_convexity(p_un, o_mu, o_un))
         series[n] = SeriesText(p_un, P, grid, _texts(o_mu), _texts(o_un))
     prov = cfg.provenance()
@@ -529,21 +522,15 @@ def _cmd_validate(cfg, args, out_dir: Path) -> int:
     system = cfg.system()
     mmf = solve_mmf(system, cfg.profile, p_un)
     wsse = solve_wsse(system, cfg.profile, p_mu)
-    # an overflowing scenario would read as an infeasible allocation
-    if not all(map(math.isfinite, (mmf.objective, wsse.objective))):
-        raise ConfigError("scenario", _NON_FINITE)
     alloc = PowerAllocation(
         p_dl=wsse.p_dl, q_dl=mmf.q_dl, p_up=wsse.p_up, q_up=mmf.q_up,
         tau=system.n_pilots,
     )
     mc = cfg.montecarlo
-    try:
-        report = empirical_sinr(
-            system, cfg.profile, alloc, n_realizations=mc["n_realizations"],
-            seed=mc["seed"], n_workers=mc["n_workers"],
-        )
-    except NonFiniteSums:
-        raise ConfigError("scenario", _NON_FINITE)
+    report = empirical_sinr(
+        system, cfg.profile, alloc, n_realizations=mc["n_realizations"],
+        seed=mc["seed"], n_workers=mc["n_workers"],
+    )
     _write_json(out_dir / "montecarlo_report.json",
                 {"provenance": cfg.provenance(), "p_un": p_un, "p_mu": p_mu,
                  "report": report.to_dict()})
@@ -609,7 +596,8 @@ _FLAGS = {
     "--points": (int, "sweep points override"),
     "--seed": (int, "seed override"),
 }
-_AT_A_SPLIT = ("--p-un", "--p-mu", "--n", "--seed")
+_SPLIT_FLAGS = ("--p-un", "--p-mu")  # a split takes at most one of them
+_AT_A_SPLIT = (*_SPLIT_FLAGS, "--n", "--seed")
 
 # subcommand -> (handler, the override flags it reads, help text); every
 # subcommand also takes --config and --out, and any other flag is a usage
@@ -641,9 +629,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (embedded default if omitted)")
+        split = p.add_mutually_exclusive_group() if "--p-un" in flags else p
         for flag in flags:
             kind, flag_help = _FLAGS[flag]
-            p.add_argument(flag, type=kind, help=flag_help)
+            (split if flag in _SPLIT_FLAGS else p).add_argument(
+                flag, type=kind, help=flag_help)
         p.add_argument("--out", metavar="DIR", help="output directory")
     return parser
 
@@ -679,7 +669,10 @@ def main(argv=None) -> int:
         cfg = load_config(_read_raw_config(args.config), overrides)
         out_dir = Path(args.out or cfg.output["directory"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        return args.handler(cfg, args, out_dir)
+        try:
+            return args.handler(cfg, args, out_dir)
+        except FloatingPointError:  # an overflow, e.g. from a huge power
+            raise ConfigError("scenario", _NON_FINITE)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "field": exc.field,
                           "message": exc.message}), file=sys.stderr)

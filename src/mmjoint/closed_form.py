@@ -17,6 +17,10 @@ from .scenario import Grouped, LargeScaleProfile, SystemConfig
 # from solvers that place the allocation exactly on the power boundary
 _POWER_FEASIBILITY_RTOL = 1e-9
 
+# a decorated function raises FloatingPointError where an overflow, a division
+# by zero or an invalid operation happens (per thread, as numpy's error state)
+RAISE_FP_ERRORS = np.errstate(over="raise", divide="raise", invalid="raise")
+
 
 class InfeasibleAllocationError(ValueError):
     """Raised when a power allocation violates its feasibility constraints."""

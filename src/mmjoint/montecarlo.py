@@ -29,6 +29,8 @@ chunks per worker are in flight (submitted and not yet folded), so chunks
 that finish ahead of their turn cannot pile up with their sums.  By default
 one worker thread runs per CPU the process may use (``usable_cpus``); numpy
 releases the GIL in the normal fill and the matmuls, so the threads scale.
+A huge power overflows the squared powers: the chunk then raises
+``FloatingPointError`` and the pending chunks are cancelled.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import EstimationStats, PowerAllocation, pilot_scaling
+from .closed_form import (RAISE_FP_ERRORS, EstimationStats, PowerAllocation,
+                          pilot_scaling)
 from .scenario import GroupLayout, Grouped, LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
@@ -250,11 +253,6 @@ class MonteCarloReport:
                 "multicast": [dict(vars(row)) for row in self.multicast]}
 
 
-class NonFiniteSums(ArithmeticError):
-    """The Monte Carlo sums overflowed (a huge power), so no finite report
-    exists; ``empirical_sinr`` stops at the first chunk where this shows."""
-
-
 class _Accumulator:
     """Running sums of every per-realization term, merged in fixed order.
 
@@ -285,17 +283,8 @@ class _Accumulator:
                 getattr(self, name).__iadd__(val)
         return self
 
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(val)) for name, val in vars(self).items()
-                   if name != "n")
 
-
-# a huge power overflows the squared powers, and empirical_sinr then raises
-# NonFiniteSums; set per call, as errstate is per thread
-_QUIET_OVERFLOW = np.errstate(over="ignore", invalid="ignore")
-
-
-@_QUIET_OVERFLOW
+@RAISE_FP_ERRORS  # per worker thread: errstate does not cross threads
 def _run_chunk(config, profile, alloc, stats, own_col, seed, indices):
     users = np.arange(len(own_col))
     shape = (len(users), config.n_pilots)
@@ -319,7 +308,6 @@ def _run_chunk(config, profile, alloc, stats, own_col, seed, indices):
     return acc
 
 
-@_QUIET_OVERFLOW
 def _breakdowns(config, profile, alloc, stats, own_col, acc):
     """Turn the accumulated sums into per-user empirical/analytic reports.
 
@@ -406,6 +394,7 @@ def _in_order(pool, fn, items, window: int):
             future.cancel()
 
 
+@RAISE_FP_ERRORS
 def empirical_sinr(
     config: SystemConfig,
     profile: LargeScaleProfile,
@@ -418,8 +407,9 @@ def empirical_sinr(
 
     Results are bit-identical for fixed (seed, n_realizations) regardless of
     ``n_workers``, which defaults to ``usable_cpus()``.  Raises
-    ``NonFiniteSums`` as soon as the folded sums are not all finite: sums
-    that overflow stay non-finite, so the pending chunks are cancelled.
+    ``FloatingPointError`` where a value overflows (a huge power), in a
+    chunk, the fold of the sums or the breakdowns; the pending chunks are
+    then cancelled.
     """
     if n_realizations < MIN_REALIZATIONS:
         raise ValueError(f"n_realizations must be at least {MIN_REALIZATIONS}")
@@ -445,9 +435,6 @@ def empirical_sinr(
         total = None
         for acc in finished:
             total = acc if total is None else total.merge(acc)
-            if not total.is_finite():  # closing cancels the pending chunks
-                raise NonFiniteSums(
-                    f"the sums overflow within {total.n} realizations")
 
     unicast, multicast = _breakdowns(config, profile, alloc, stats, own_col,
                                      total)

@@ -28,6 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .closed_form import (
+    RAISE_FP_ERRORS,
     estimation_variance_unicast,
     member_estimation_variances,
 )
@@ -37,6 +38,8 @@ LN2 = math.log(2.0)
 
 # fewest boundary points check_convexity can judge (two consecutive slopes)
 MIN_CONVEXITY_POINTS = 3
+# largest violation a boundary may show and still read as convex
+CONVEXITY_TOL = 1e-9
 
 # boundary-point pairs boundary_convexity evaluates per chunk (at least one
 # offset of every open row), so its temporaries do not grow with the square of
@@ -115,10 +118,12 @@ class MmfArrays:
     x_star: Grouped
 
 
+@RAISE_FP_ERRORS
 def mmf_arrays(
     config: SystemConfig, profile: LargeScaleProfile, p_un: np.ndarray
 ) -> MmfArrays:
-    """Max-min-fair solutions for every unicast power in ``p_un``."""
+    """Max-min-fair solutions for every unicast power in ``p_un``; raises
+    ``FloatingPointError`` where a value overflows (a huge P)."""
     config.check_users("profile", len(profile.beta), profile.eta)
     P = config.total_dl_power
     N = config.n_antennas
@@ -127,21 +132,16 @@ def mmf_arrays(
 
     eta = profile.eta.flat
     budgets = config.multicast_energy_budgets.flat
-    # a huge P overflows these, and q_dl then takes 0 * inf; the isfinite
-    # test below makes the objective NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        upsilon = np.minimum.reduceat(budgets * eta**2 / (1.0 + eta * P),
-                                      layout.starts)
-        x_star = (1.0 + eta * P) / eta**2 * upsilon[layout.member_group]
-        denom = P * config.n_multicast + np.sum(1 / upsilon) + np.sum(1 / eta)
-        gain = 1.0 + np.add.reduceat(x_star * eta, layout.starts)
-        q_per_sinr = gain / (N * upsilon)  # group power per unit SINR
-        common_sinr = N * (P - p_un) / denom
-        q_dl = np.outer(common_sinr, q_per_sinr)
+    upsilon = np.minimum.reduceat(budgets * eta**2 / (1.0 + eta * P),
+                                  layout.starts)
+    x_star = (1.0 + eta * P) / eta**2 * upsilon[layout.member_group]
+    denom = P * config.n_multicast + np.sum(1 / upsilon) + np.sum(1 / eta)
+    gain = 1.0 + np.add.reduceat(x_star * eta, layout.starts)
+    q_per_sinr = gain / (N * upsilon)  # group power per unit SINR
+    common_sinr = N * (P - p_un) / denom
+    q_dl = np.outer(common_sinr, q_per_sinr)
 
     objective = config.prelog(tau) * np.log2(1.0 + common_sinr)
-    if not (np.isfinite(denom) and np.all(np.isfinite(q_per_sinr))):
-        objective[:] = np.nan  # overflow (a huge P): no finite answer
     return MmfArrays(objective, common_sinr, q_dl,
                      Grouped(x_star / tau, layout), tau, upsilon,
                      Grouped(x_star, layout))
@@ -165,7 +165,8 @@ def solve_mmf(
     The optimum puts tau = U + G, pilots at the per-group equalizing energies,
     and downlink powers that make every multicast user's SINR equal to the
     common value Gamma = N*P_mu / (P*sum(K_j) + sum(1/Upsilon_j)
-    + sum_jk 1/eta_jk) with P_mu = P - p_un.
+    + sum_jk 1/eta_jk) with P_mu = P - p_un.  Raises ``FloatingPointError``
+    as ``mmf_arrays`` does.
     """
     if not 0.0 <= p_un <= config.total_dl_power:
         raise ValueError("p_un must lie in [0, total_dl_power]")
@@ -190,6 +191,7 @@ class WsseArrays:
     vartheta_star: np.ndarray
 
 
+@RAISE_FP_ERRORS
 def wsse_arrays(
     config: SystemConfig, profile: LargeScaleProfile, p_mu: np.ndarray
 ) -> WsseArrays:
@@ -200,6 +202,7 @@ def wsse_arrays(
     A_{k-1} f_k/alpha_k - F_{k-1} (A, F cumulative sums of alpha and f), so the
     active count k for a power t is one searchsorted and the water level is
     exactly nu = A_k / (ln2 (t + F_k)) (Palomar & Fonollosa, IEEE TSP 2005).
+    Raises ``FloatingPointError`` where a value overflows (a huge P).
     """
     config.check_users("profile", len(profile.beta), profile.eta)
     P = config.total_dl_power
@@ -208,30 +211,24 @@ def wsse_arrays(
     energy = np.asarray(config.unicast_energy_budgets, dtype=float)
     beta = np.asarray(profile.beta, dtype=float)
     alpha = np.asarray(config.unicast_weights, dtype=float)
-    # a huge P overflows these; the isfinite test below makes the
-    # objective NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        vartheta = energy * beta**2 / (1.0 + energy * beta)
-        floors = (1.0 + beta * P) / (config.n_antennas * vartheta)
-        order = np.argsort(-alpha / floors, kind="stable")
-        a_cum = np.concatenate(([0.0], np.cumsum(alpha[order])))
-        f_cum = np.concatenate(([0.0], np.cumsum(floors[order])))
-        # roundoff may put tied breakpoints an ulp out of order; the water
-        # level is continuous there, so either active count is then right
-        entry = a_cum[:-1] * floors[order] / alpha[order] - f_cum[:-1]
+    vartheta = energy * beta**2 / (1.0 + energy * beta)
+    floors = (1.0 + beta * P) / (config.n_antennas * vartheta)
+    order = np.argsort(-alpha / floors, kind="stable")
+    a_cum = np.concatenate(([0.0], np.cumsum(alpha[order])))
+    f_cum = np.concatenate(([0.0], np.cumsum(floors[order])))
+    # roundoff may put tied breakpoints an ulp out of order; the water
+    # level is continuous there, so either active count is then right
+    entry = a_cum[:-1] * floors[order] / alpha[order] - f_cum[:-1]
 
-        target = P - p_mu
-        k = np.searchsorted(entry, target)  # users whose breakpoint is below
-        nu = np.full(target.shape, np.inf)  # no unicast power: none active
-        on = k > 0
-        nu[on] = a_cum[k[on]] / (LN2 * (target[on] + f_cum[k[on]]))
-        p_dl = np.maximum(0.0, alpha / (nu[:, None] * LN2) - floors)
+    target = P - p_mu
+    k = np.searchsorted(entry, target)  # users whose breakpoint is below
+    nu = np.full(target.shape, np.inf)  # no unicast power: none active
+    on = k > 0
+    nu[on] = a_cum[k[on]] / (LN2 * (target[on] + f_cum[k[on]]))
+    p_dl = np.maximum(0.0, alpha / (nu[:, None] * LN2) - floors)
 
-        sinr = config.n_antennas * p_dl * vartheta / (1.0 + beta * P)
+    sinr = config.n_antennas * p_dl * vartheta / (1.0 + beta * P)
     objective = config.prelog(tau) * np.sum(alpha * np.log2(1.0 + sinr), axis=1)
-    if not np.all(np.isfinite(entry)):  # the floors or their sums overflow
-        objective[:] = np.nan
-
     return WsseArrays(objective, p_dl, nu, energy / tau, tau, vartheta)
 
 
@@ -251,6 +248,7 @@ def solve_wsse(
 
     tau = U + G, every user spends its full pilot energy budget, and the
     downlink powers water-fill against per-user floors (1 + beta*P)/(N*theta).
+    Raises ``FloatingPointError`` as ``wsse_arrays`` does.
     """
     if not 0.0 <= p_mu <= config.total_dl_power:
         raise ValueError("p_mu must lie in [0, total_dl_power]")
@@ -270,7 +268,8 @@ def sweep_splits(P: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
 def pareto_sweep(
     config: SystemConfig, profile: LargeScaleProfile, n_points: int = 21
 ) -> list[ParetoPoint]:
-    """Sweep the boundary P_un + P_mu = P over a uniform grid of power splits."""
+    """Sweep the boundary P_un + P_mu = P over a uniform grid of power splits;
+    raises ``FloatingPointError`` as ``mmf_arrays`` and ``wsse_arrays`` do."""
     p_un, p_mu = sweep_splits(config.total_dl_power, n_points)
     mmf = mmf_arrays(config, profile, p_un)
     wsse = wsse_arrays(config, profile, p_mu)
@@ -279,17 +278,15 @@ def pareto_sweep(
                     _mmf_solutions(mmf), _wsse_solutions(wsse)))
 
 
-def check_convexity(
-    points: list[ParetoPoint], tol: float = 1e-9
-) -> ConvexityReport:
+def check_convexity(points: list[ParetoPoint]) -> ConvexityReport:
     """``boundary_convexity`` of the swept points."""
     p_un, o_mu, o_un = np.array(
         [(pt.p_un, pt.o_mu, pt.o_un) for pt in points]).reshape(-1, 3).T
-    return boundary_convexity(p_un, o_mu, o_un, tol)
+    return boundary_convexity(p_un, o_mu, o_un)
 
 
 def boundary_convexity(
-    p_un: np.ndarray, o_mu: np.ndarray, o_un: np.ndarray, tol: float = 1e-9
+    p_un: np.ndarray, o_mu: np.ndarray, o_un: np.ndarray
 ) -> ConvexityReport:
     """Verify the boundary points (p_un, o_mu, o_un) bound a convex
     attainable region.
@@ -374,7 +371,7 @@ def boundary_convexity(
 
     max_violation = max(slope_violation, dominance_violation)
     return ConvexityReport(
-        is_consistent=bool(max_violation <= tol),
+        is_consistent=bool(max_violation <= CONVEXITY_TOL),
         max_violation=max_violation,
         slope_violation=slope_violation,
         dominance_violation=dominance_violation,

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmjoint import montecarlo
+from mmjoint import cli, montecarlo
+from mmjoint.closed_form import PowerAllocation
 from mmjoint.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -26,8 +28,11 @@ from mmjoint.cli import (
 from mmjoint.optimizers import (
     ParetoPoint,
     check_convexity,
+    mmf_arrays,
     pareto_sweep,
     solve_mmf,
+    solve_wsse,
+    wsse_arrays,
 )
 
 SMALL_CONFIG = {
@@ -700,3 +705,130 @@ class TestOverflowStderr:
         lines = run.stderr.splitlines()
         assert len(lines) == 1, run.stderr
         assert json.loads(lines[0])["field"] == "scenario"
+
+
+class TestSplitFlags:
+    @pytest.mark.parametrize("command", ["mmf", "wsse", "validate"])
+    def test_p_un_with_p_mu_is_a_usage_error(self, config_path, tmp_path,
+                                            capsys, command):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_path, "--out", str(out),
+                  "--p-un", "0", "--p-mu", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "--p-mu: not allowed with argument --p-un" in err
+        assert not out.exists()
+
+
+class TestOracleCheck:
+    def test_default_config_is_consistent(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["oracle-check", "--out", str(out)]) == 0
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert len(report["results"]) == 3
+        assert all(entry["consistent"] for entry in report["results"])
+        assert report["all_consistent"] is True
+        assert report["provenance"] == json.loads(json.dumps(
+            load_config_file(None).provenance()))
+
+    def test_oracle_above_the_closed_form_exits_4(self, tmp_path,
+                                                   monkeypatch):
+        oracle = cli.brute_force_oracle
+
+        def above(*args, **kwargs):
+            found = oracle(*args, **kwargs)
+            return dataclasses.replace(found, objective=found.objective + 1)
+
+        monkeypatch.setattr(cli, "brute_force_oracle", above)
+        out = tmp_path / "run"
+        assert main(["oracle-check", "--out", str(out)]) == 4
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert len(report["results"]) == 3
+        assert report["all_consistent"] is False
+
+    def test_huge_power_is_a_config_error(self, tmp_path, capsys):
+        path = normalized_config(tmp_path, 1e300)
+        out = tmp_path / "run"
+        assert main(["oracle-check", "--config", path, "--out",
+                     str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", "scenario")
+        assert list(out.iterdir()) == []
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize("block, key", [
+        ("scenario", "n_unicast"),
+        ("physical", "bandwidth_hz"),
+    ])
+    def test_missing_required_field_is_named(self, tmp_path, capsys, block,
+                                             key):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        target = raw["scenario"]["physical"] if block == "physical" \
+            else raw[block]
+        del target[key]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["mmf", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["field"] == f"{block}.{key}"
+        assert err["message"] == "missing required field"
+
+    def test_invalid_json_names_the_config(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": ')
+        assert main(["mmf", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["field"] == "<config>"
+        assert err["message"].startswith("invalid JSON")
+
+    def test_distances_outside_the_annulus(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        del raw["scenario"]["seed"]
+        raw["scenario"].update(unicast_distances=[100.0, 600.0],
+                               multicast_distances=[[150.0, 400.0]])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["mmf", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["field"] == "scenario.unicast_distances"
+
+
+class TestFloatingPointErrors:
+    """The library raises FloatingPointError where a value overflows and
+    leaves numpy's error state as it found it."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda system, profile: solve_mmf(system, profile, 0.0),
+        lambda system, profile: solve_wsse(system, profile, 0.0),
+        lambda system, profile: pareto_sweep(system, profile, 5),
+        lambda system, profile: mmf_arrays(system, profile, np.zeros(3)),
+        lambda system, profile: wsse_arrays(system, profile, np.zeros(3)),
+    ], ids=["solve_mmf", "solve_wsse", "pareto_sweep", "mmf_arrays",
+            "wsse_arrays"])
+    def test_solvers_raise_at_a_huge_power(self, tmp_path, solve):
+        cfg = load_config_file(normalized_config(tmp_path, 1e300))
+        before = np.geterr()
+        with pytest.raises(FloatingPointError):
+            solve(cfg.system(), cfg.profile)
+        assert np.geterr() == before
+
+    def test_monte_carlo_raises_at_a_huge_power(self, tmp_path):
+        cfg = load_config_file(budget_config(tmp_path, 1e200, 10.0))
+        system, profile = cfg.system(), cfg.profile
+        half = 0.5 * system.total_dl_power
+        mmf = solve_mmf(system, profile, half)
+        wsse = solve_wsse(system, profile, half)
+        alloc = PowerAllocation(p_dl=wsse.p_dl, q_dl=mmf.q_dl,
+                                p_up=wsse.p_up, q_up=mmf.q_up,
+                                tau=system.n_pilots)
+        before = np.geterr()
+        with pytest.raises(FloatingPointError):
+            montecarlo.empirical_sinr(system, profile, alloc, 300, seed=3,
+                                      n_workers=2)
+        assert np.geterr() == before

@@ -286,3 +286,28 @@ class TestGroupLayoutMismatch:
             evaluate(self.config, alloc, profile)
         with pytest.raises(ValueError, match="group sizes"):
             alloc.check_feasible(self.config)
+
+
+class TestAllocationRejections:
+    def test_tau_below_one(self):
+        with pytest.raises(ValueError, match="tau must be a positive"):
+            make_alloc(tau=0)
+
+    def test_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="p_dl and p_up"):
+            make_alloc(p_up=(1.0,))
+        with pytest.raises(ValueError, match="q_dl and q_up"):
+            make_alloc(q_dl=(1.0, 1.0))
+
+    def test_multicast_member_over_its_pilot_budget(self):
+        cfg = make_system(n_groups=2, group_sizes=(1, 2), energy=10.0)
+        # tau = 4: member 1 of group 1 spends 4 * 3 = 12 > 10
+        alloc = make_alloc(q_dl=(1.0, 1.0), q_up=((1.0,), (1.0, 3.0)),
+                           tau=4)
+        with pytest.raises(InfeasibleAllocationError,
+                           match="user 1 of group 1"):
+            alloc.check_feasible(cfg)
+
+    def test_multicast_variance_with_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="matching lengths"):
+            estimation_variance_multicast(3, [1.0, 2.0], [1.0])

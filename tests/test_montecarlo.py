@@ -377,3 +377,15 @@ class TestEmpiricalSinr:
         # without an affinity call the CPU count is used
         monkeypatch.delattr(os, "sched_getaffinity")
         assert montecarlo.usable_cpus() == os.cpu_count()
+
+
+class TestSinrRelativeError:
+    def test_zero_analytic_sinr_gives_the_empirical_sinr(self, config,
+                                                         profile):
+        alloc = PowerAllocation(p_dl=[0.0, 0.0], q_dl=[0.0],
+                                p_up=[2.0, 2.0], q_up=[[1.5, 2.5]], tau=3)
+        user = empirical_sinr(config, profile, alloc, 100, seed=26).unicast[0]
+        assert user.sinr_analytic == 0.0
+        assert user.sinr_relative_error == 0.0
+        user = dataclasses.replace(user, sinr_empirical=0.25)
+        assert user.sinr_relative_error == 0.25

@@ -19,6 +19,7 @@ from mmjoint.cli import DEFAULT_CONFIG, load_config
 from mmjoint.optimizers import (
     ConvexityReport,
     OracleInstanceTooLarge,
+    boundary_convexity,
     brute_force_oracle,
     check_convexity,
     pareto_sweep,
@@ -721,3 +722,11 @@ class TestOracleMatchesLoopReference:
                 (objective, steps, share, config)
             n += 1
         assert n >= 40
+
+
+class TestBoundaryConvexityRejections:
+    def test_repeated_o_mu_values(self):
+        with pytest.raises(ValueError, match="distinct"):
+            boundary_convexity(np.array([0.0, 1.0, 2.0]),
+                               np.array([1.0, 1.0, 0.0]),
+                               np.array([0.0, 1.0, 2.0]))

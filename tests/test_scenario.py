@@ -9,6 +9,8 @@ from mmjoint.scenario import (
     ATTENUATION_CONST,
     PATHLOSS_EXPONENT,
     CellGeometry,
+    GroupLayout,
+    Grouped,
     LargeScaleProfile,
     PhysicalUnits,
     SystemConfig,
@@ -173,3 +175,39 @@ class TestGeometryAndProfile:
     def test_profile_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             LargeScaleProfile(beta=[0.0], eta=[[1.0]])
+
+
+SYSTEM_KWARGS = dict(
+    n_antennas=64, n_unicast=2, n_groups=1, group_sizes=[2],
+    coherence_symbols=200, total_dl_power=5.0,
+    unicast_energy_budgets=[10.0, 10.0],
+    multicast_energy_budgets=[[10.0, 10.0]], unicast_weights=None)
+
+
+class TestSystemConfigRejections:
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_antennas", 0, "n_antennas must be a positive"),
+        ("n_unicast", 0, "n_unicast must be a positive"),
+        ("n_groups", 0, "n_groups must be a positive"),
+        ("group_sizes", [0], "group_sizes entries must be positive"),
+        ("total_dl_power", math.inf, "total_dl_power must be finite"),
+        ("total_dl_power", math.nan, "total_dl_power must be finite"),
+        ("total_dl_power", -1.0, "total_dl_power must be finite"),
+        ("unicast_energy_budgets", [10.0],
+         "unicast_energy_budgets must have length"),
+        ("unicast_energy_budgets", [10.0, math.inf],
+         "unicast_energy_budgets must be finite"),
+        ("multicast_energy_budgets", [[10.0]],
+         "multicast_energy_budgets must match"),
+        ("multicast_energy_budgets", [[10.0, 0.0]],
+         "multicast_energy_budgets must be finite"),
+        ("unicast_weights", [1.0], "unicast_weights must have length"),
+        ("unicast_weights", [1.0, 0.0], "unicast_weights must be finite"),
+    ])
+    def test_rejection_names_the_field(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            SystemConfig(**{**SYSTEM_KWARGS, key: value})
+
+    def test_grouped_with_a_layout_that_does_not_match(self):
+        with pytest.raises(ValueError, match="do not match the layout"):
+            Grouped([[1.0, 2.0]], GroupLayout([3]))
