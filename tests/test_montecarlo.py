@@ -4,11 +4,13 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from mmjoint import montecarlo
+from mmjoint.cli import load_config_file
 from mmjoint.closed_form import EstimationStats, PowerAllocation, pilot_scaling
 from mmjoint.montecarlo import (
     draw_channels,
@@ -16,6 +18,7 @@ from mmjoint.montecarlo import (
     estimate_channels,
     mrt_precoders,
 )
+from mmjoint.optimizers import solve_mmf, solve_wsse
 from mmjoint.scenario import LargeScaleProfile
 
 from conftest import make_system
@@ -389,3 +392,66 @@ class TestSinrRelativeError:
         assert user.sinr_relative_error == 0.0
         user = dataclasses.replace(user, sinr_empirical=0.25)
         assert user.sinr_relative_error == 0.25
+
+
+class TestSubstream:
+    def test_each_realization_draws_from_its_sfc64_substream(
+            self, config, profile, alloc, monkeypatch):
+        # the generator of realization i, as draw_channels receives it, is
+        # SFC64 seeded from SeedSequence(seed, spawn_key=(i,))
+        seed, n = 29, montecarlo.MIN_REALIZATIONS
+        states, draw = [], montecarlo.draw_channels
+
+        def recording(profile, config, rng, out=None):
+            states.append(rng.bit_generator.state)
+            return draw(profile, config, rng, out)
+
+        monkeypatch.setattr(montecarlo, "draw_channels", recording)
+        empirical_sinr(config, profile, alloc, n, seed=seed, n_workers=1)
+        assert len(states) == n
+
+        for i, state in enumerate(states):
+            fresh = np.random.SFC64(
+                np.random.SeedSequence(seed, spawn_key=(i,))).state
+            assert state["bit_generator"] == fresh["bit_generator"]
+            assert state["state"]["state"].tolist() \
+                == fresh["state"]["state"].tolist()
+            assert (state["has_uint32"], state["uinteger"]) \
+                == (fresh["has_uint32"], fresh["uinteger"])
+
+
+SMALL_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "small.json")
+
+
+class TestMultiSeedAgreement:
+    @pytest.mark.parametrize("seed", [1, 7, 42, 2024])
+    def test_terms_agree_with_analytic_at_bonferroni_z(self, seed):
+        # the check perfbench applies to every Monte Carlo report: desired,
+        # own-service and cross-service terms within z standard errors,
+        # Bonferroni over three terms per user at family-wise level 1e-3
+        cfg = load_config_file(SMALL_CONFIG)
+        system = cfg.system()
+        p_un = cfg.montecarlo["unicast_power_fraction"] * cfg.total_dl_power
+        mmf = solve_mmf(system, cfg.profile, p_un)
+        wsse = solve_wsse(system, cfg.profile, cfg.total_dl_power - p_un)
+        alloc = PowerAllocation(p_dl=wsse.p_dl, q_dl=mmf.q_dl,
+                                p_up=wsse.p_up, q_up=mmf.q_up,
+                                tau=system.n_pilots)
+        report = empirical_sinr(system, cfg.profile, alloc, 2000, seed=seed)
+        users = report.unicast + report.multicast
+        z = NormalDist().inv_cdf(1 - 1e-3 / (2 * 3 * len(users)))
+        for u in users:
+            terms = {
+                "desired": (u.desired_power - u.desired_power_analytic,
+                            u.desired_power_se),
+                "own": (u.self_interference + u.same_service_interference
+                        - u.same_service_analytic,
+                        math.hypot(u.self_interference_se,
+                                   u.same_service_interference_se)),
+                "cross": (u.cross_service_interference
+                          - u.cross_service_analytic,
+                          u.cross_service_interference_se),
+            }
+            for term, (diff, se) in terms.items():
+                assert abs(diff) <= z * se, (u.service, u.index, term)
