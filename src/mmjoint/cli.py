@@ -467,7 +467,11 @@ def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
         system = cfg.system(n_antennas=n)
         o_mu = mmf_arrays(system, cfg.profile, p_un).objective
         o_un = wsse_arrays(system, cfg.profile, p_mu).objective
-        convexity[str(n)] = asdict(boundary_convexity(p_un, o_mu, o_un))
+        try:
+            convexity[str(n)] = asdict(boundary_convexity(p_un, o_mu, o_un))
+        except ValueError as exc:  # e.g. fading so weak that every SE is 0
+            raise ConfigError("scenario",
+                              f"the Pareto boundary is degenerate: {exc}")
         series[n] = SeriesText(p_un, P, grid, _texts(o_mu), _texts(o_un))
     prov = cfg.provenance()
     # the JSON check for non-finite values runs before any file is written

@@ -1,38 +1,48 @@
 """Monte Carlo cross-validation of the closed-form SINR chain.
 
-Simulates Rayleigh channel draws, pilot training with MMSE estimation, MRT
-precoding, and accumulates every term of the SINR bound decomposition so each
-analytic quantity can be compared against its empirical counterpart.
+Draws, per realization, what the SINR decomposition needs of Rayleigh
+channels, MMSE estimates from noisy uplink pilots and MRT precoders, and
+accumulates every term of the SINR bound decomposition so each analytic
+quantity can be compared against its empirical counterpart.
+``draw_channels``, ``estimate_channels`` and ``mrt_precoders`` simulate the
+channels themselves; they are the reference that the draw is tested against.
+
+Sufficient statistics: precoder c is w_c = G_c y_c, with y_c the pilot
+observation of pilot c, whose N antennas have variance 1 + s_c.  Gaussian
+conditioning, the step that gives the MMSE estimate, writes user k on pilot
+c as h_k = a_k y_c + r_k with r_k ~ CN(0, sigma_k^2 I) independent of y_c.
+So the own coefficient is G_c (a_k ||y_c||^2 + ||y_c|| sigma_k z_k) with
+z_k ~ CN(0, 1), and the power from a precoder c' of another pilot, which is
+independent of h_k, is fading_k G_c'^2 ||y_c'||^2 Exp(1).  The sums are
+kept per (user, precoder) entry, so these per-entry laws are all a
+realization needs: no channel vector and no matmul.
 
 Reproducibility contract: realization ``i`` of a run with master seed ``s``
 draws from ``Generator(SFC64(SeedSequence(s, spawn_key=(i,))))``, and
 averages are reduced in fixed chunk order, so sequential and parallel runs
-are bit-identical.  SFC64 replaced the PCG64 of ``default_rng`` on the same
-substreams, because the channel-normal fill is most of a realization and
-SFC64 fills it faster; so reports at a given seed differ, once, from those
-of earlier versions.
+are bit-identical.
 
-Draw layout of one realization: from its substream, first one block of
-``2 N (U + sum K_g)`` standard normals for the channels, then one block of
-``2 N (U + G)`` for the pilot noise.  Each block is read row by row, one row
-per user (unicast users first, then the members of each group in order) or,
-for the noise, per pilot (the U unicast pilots, then the G group pilots);
-within a row the real and imaginary parts of the N antennas alternate.
-This layout replaced a per-group draw order, so reports at a given seed
-differ from those of earlier versions.
+Draw layout of one realization: from its substream, first U + G
+``standard_gamma(N)`` draws, one per pilot (the U unicast pilots, then the
+G group pilots), giving ||y_c||^2 = (1 + s_c) Gamma(N, 1); then a
+(U + sum K_g, U + G) block of ``standard_exponential``, read row by row, one
+row per user (unicast users first, then the members of each group in order)
+and one column per pilot; then U + sum K_g complex normals z_k, users in the
+same order, real and imaginary parts alternating.  A user's own column takes
+|c_k|^2 in place of its exponential.  This layout replaced the channel and
+pilot-noise normals of earlier versions (and SFC64 the PCG64 before them),
+so reports at a given seed differ from those of earlier versions.
 
-Working set: each chunk of realizations allocates its buffers once (the
-channel normals, the received amplitudes ``h [V W]^*``, their powers and the
-squared powers) and every realization of the chunk overwrites them.  The
-group composites are one matmul of a (G, sum K_g) matrix of scaled pilot
-amplitudes with the member channels, real and imaginary parts side by side,
-so no weighted copy of the member channels is made.  Finished chunks are
-folded into the running total in chunk order as they arrive.  At most two
-chunks per worker are in flight (submitted and not yet folded), so chunks
-that finish ahead of their turn cannot pile up with their sums.  By default
-one worker thread runs per CPU the process may use (``usable_cpus``); numpy
-releases the GIL in the normal fill and the matmuls, so the threads scale.
-A huge power overflows the squared powers: the chunk then raises
+Working set: each chunk of realizations allocates its two (users, U + G)
+buffers once, for the received powers and their squares, and every
+realization of the chunk overwrites them.  Finished chunks are folded into
+the running total in chunk order as they arrive.  At most two chunks per
+worker are in flight (submitted and not yet folded), so chunks that finish
+ahead of their turn cannot pile up with their sums.  By default one worker
+thread runs per CPU the process may use (``usable_cpus``); numpy releases
+the GIL in the random fills, so the threads scale.  No step calls BLAS, so
+the BLAS thread count changes neither the result nor the speed.  A huge
+power overflows the squared powers: the chunk then raises
 ``FloatingPointError`` and the pending chunks are cancelled.
 """
 
@@ -287,28 +297,88 @@ class _Accumulator:
         return self
 
 
+def _substream(seed: int, i: int) -> np.random.Generator:
+    """The generator of realization ``i``: SFC64 on the substream
+    ``SeedSequence(seed, spawn_key=(i,))``."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
+@dataclass(frozen=True)
+class _Conditioning:
+    """What a realization's draw needs, computed once per call.
+
+    Pilots c are the U unicast pilots, then the G group pilots; users k are
+    the unicast users, then every group's members.  Precoder c is
+    w_c = G_c y_c, with y_c the pilot observation of per-antenna variance
+    1 + s_c; user k on pilot c has h_k = a_k y_c + r_k, with
+    r_k ~ CN(0, sigma_k^2 I) independent of y_c.
+    """
+
+    n_antennas: int
+    one_plus_snr: np.ndarray  # (U + G,) 1 + s_c
+    entry_power: np.ndarray  # (users, U + G) fading_k G_c^2
+    own_col: np.ndarray  # (users,) the pilot c of user k
+    own_mean: np.ndarray  # (users,) G_c a_k
+    own_spread: np.ndarray  # (users,) G_c sigma_k
+
+    @classmethod
+    def of(cls, config, profile, alloc, stats) -> "_Conditioning":
+        """s_c is tau p_m beta_m for unicast pilot m and sum_k tau q_k eta_k
+        for group j; a_k = sqrt(tau pilot_k) fading_k / (1 + s_c) and
+        sigma_k^2 = fading_k - a_k^2 (1 + s_c), from the pilot powers and
+        the fading rather than the closed forms, so that a wrong xi still
+        disagrees with the draw.  G_c is the estimate scale of
+        ``estimate_channels`` times the MRT gain of ``mrt_precoders``."""
+        U = config.n_unicast
+        # user k's pilot: m for unicast user m, U + j for the members of
+        # group j
+        own_col = np.concatenate([np.arange(U),
+                                  U + config.layout.member_group])
+        fading = profile.fading
+        pilot = alloc.tau * np.concatenate([alloc.p_up, alloc.q_up.flat])
+        snr = np.concatenate([
+            pilot[:U] * fading[:U],
+            np.add.reduceat(pilot[U:] * fading[U:], config.layout.starts)])
+        one_plus_snr = 1.0 + snr
+        scale = np.concatenate([np.sqrt(pilot[:U]) * fading[:U], snr[U:]])
+        gain = scale / one_plus_snr * _mrt_gains(
+            np.concatenate([alloc.p_dl, alloc.q_dl]),
+            np.concatenate([stats.vartheta, stats.gamma]), config.n_antennas)
+        a = np.sqrt(pilot) * fading / one_plus_snr[own_col]
+        # rounding can leave a tiny negative variance when s_c >> 1
+        variance = np.maximum(0.0, fading - a * a * one_plus_snr[own_col])
+        return cls(n_antennas=config.n_antennas, one_plus_snr=one_plus_snr,
+                   entry_power=fading[:, None] * gain**2, own_col=own_col,
+                   own_mean=gain[own_col] * a,
+                   own_spread=gain[own_col] * np.sqrt(variance))
+
+
 @RAISE_FP_ERRORS  # per worker thread: errstate does not cross threads
-def _run_chunk(config, profile, alloc, stats, own_col, seed, indices):
-    users = np.arange(len(own_col))
-    shape = (len(users), config.n_pilots)
+def _run_chunk(cond: _Conditioning, seed, indices):
+    users = np.arange(len(cond.own_col))
+    shape = cond.entry_power.shape
     acc = _Accumulator(*shape)
     # overwritten by every realization of the chunk
-    normals = np.empty((len(users), 2 * config.n_antennas))
-    rx = np.empty(shape, dtype=complex)
     power, square = np.empty(shape), np.empty(shape)
+    normals = np.empty((len(users), 2))
     for i in indices:
-        rng = np.random.Generator(np.random.SFC64(
-            np.random.SeedSequence(seed, spawn_key=(i,))))
-        real = draw_channels(profile, config, rng, out=normals)
-        est = estimate_channels(real, alloc, profile, rng)
-        V, W = mrt_precoders(est, alloc, stats)
-        # entry [m, u] is conj(h_m^H vw_u): conjugating the small precoder
-        # matrix instead of the channels keeps the same powers
-        np.matmul(real.h, np.hstack([V, W]).conj(), out=rx)
-        np.square(rx.real, out=power)
-        power += np.square(rx.imag, out=square)
-        acc.add(rx[users, own_col].conj(), power,
-                np.square(power, out=square))
+        rng = _substream(seed, i)
+        # ||y_c||^2 per pilot
+        norm2 = cond.one_plus_snr * rng.standard_gamma(
+            cond.n_antennas, len(cond.one_plus_snr))
+        # |w_c^H h_k|^2 for a pilot c that user k does not use: given y_c,
+        # w_c^H h_k is CN(0, fading_k G_c^2 ||y_c||^2)
+        rng.standard_exponential(out=power)
+        power *= cond.entry_power
+        power *= norm2
+        # w_c^H h_k = G_c (a_k ||y_c||^2 + ||y_c|| sigma_k z_k) on its own
+        # pilot, with z_k ~ CN(0, 1)
+        z = rng.standard_normal(out=normals).view(np.complex128)[:, 0]
+        z *= np.sqrt(0.5) * cond.own_spread * np.sqrt(norm2)[cond.own_col]
+        c = cond.own_mean * norm2[cond.own_col] + z
+        power[users, cond.own_col] = np.square(c.real) + np.square(c.imag)
+        acc.add(c, power, np.square(power, out=square))
     return acc
 
 
@@ -420,13 +490,8 @@ def empirical_sinr(
     alloc.check_feasible(config)
     stats = EstimationStats.from_allocation(alloc, profile)
 
-    # each user's own precoder column: m for unicast user m, U + j for the
-    # members of group j
-    U = config.n_unicast
-    own_col = np.concatenate([np.arange(U), U + config.layout.member_group])
-
-    run = functools.partial(_run_chunk, config, profile, alloc, stats,
-                            own_col, seed)
+    cond = _Conditioning.of(config, profile, alloc, stats)
+    run = functools.partial(_run_chunk, cond, seed)
     chunks = [range(i, min(i + _CHUNK, n_realizations))
               for i in range(0, n_realizations, _CHUNK)]
     # each chunk's sums are folded into the first chunk's, in chunk order,
@@ -440,8 +505,8 @@ def empirical_sinr(
         for acc in finished:
             total = acc if total is None else total.merge(acc)
 
-    unicast, multicast = _breakdowns(config, profile, alloc, stats, own_col,
-                                     total)
+    unicast, multicast = _breakdowns(config, profile, alloc, stats,
+                                     cond.own_col, total)
     return MonteCarloReport(
         n_realizations=n_realizations, seed=seed, unicast=unicast,
         multicast=multicast,

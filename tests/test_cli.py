@@ -532,6 +532,28 @@ class TestValidate:
             outs.append((out / "montecarlo_report.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_report_does_not_depend_on_the_blas_thread_count(self,
+                                                             tmp_path):
+        # the default scenario: N = 100, U = 20, G = 10 groups of 100
+        raw = {**cli.DEFAULT_CONFIG,
+               "montecarlo": {"n_realizations": montecarlo.MIN_REALIZATIONS}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run(
+                [sys.executable, "-m", "mmjoint.cli", "validate", "--config",
+                 str(path), "--out", str(out)], capture_output=True,
+                text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            reports.append((out / "montecarlo_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
 
 def series_text(points_by_n: dict) -> dict:
     """Each series of boundary points as the writers take it."""
@@ -666,6 +688,27 @@ class TestRepeatedAntennaCounts:
         assert err["error"] == "config"
         assert err["field"] == "sweep.antenna_counts"
         assert not out.exists()
+
+
+class TestDegenerateBoundary:
+    @pytest.mark.parametrize("exponent", [8, 40])
+    def test_weak_fading_exits_2_naming_scenario(self, exponent, tmp_path,
+                                                 capsys):
+        # every SINR is below float eps, so every objective rounds to 0
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                          / "small.json").read_text())
+        raw["scenario"]["pathloss_exponent"] = exponent
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["pareto", "--config", str(path),
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["field"]) == ("config", "scenario")
+        assert "degenerate" in err["message"]
+        assert list(out.iterdir()) == []
 
 
 class TestOverflowStderr:

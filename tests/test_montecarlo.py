@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import threading
 import tracemalloc
+import warnings
 from statistics import NormalDist
 
 import numpy as np
@@ -397,16 +398,17 @@ class TestSinrRelativeError:
 class TestSubstream:
     def test_each_realization_draws_from_its_sfc64_substream(
             self, config, profile, alloc, monkeypatch):
-        # the generator of realization i, as draw_channels receives it, is
-        # SFC64 seeded from SeedSequence(seed, spawn_key=(i,))
+        # the generator of realization i, as the chunk takes it, is SFC64
+        # seeded from SeedSequence(seed, spawn_key=(i,))
         seed, n = 29, montecarlo.MIN_REALIZATIONS
-        states, draw = [], montecarlo.draw_channels
+        states, substream = [], montecarlo._substream
 
-        def recording(profile, config, rng, out=None):
+        def recording(seed, i):
+            rng = substream(seed, i)
             states.append(rng.bit_generator.state)
-            return draw(profile, config, rng, out)
+            return rng
 
-        monkeypatch.setattr(montecarlo, "draw_channels", recording)
+        monkeypatch.setattr(montecarlo, "_substream", recording)
         empirical_sinr(config, profile, alloc, n, seed=seed, n_workers=1)
         assert len(states) == n
 
@@ -418,6 +420,138 @@ class TestSubstream:
                 == fresh["state"]["state"].tolist()
             assert (state["has_uint32"], state["uinteger"]) \
                 == (fresh["has_uint32"], fresh["uinteger"])
+
+
+def _draw_reference(config, profile, alloc, stats, rng):
+    """One realization's own coefficients and per-(user, pilot) powers, with
+    one loop per pilot and user, reading the documented draw layout from
+    ``rng``."""
+    N, U, tau = config.n_antennas, config.n_unicast, alloc.tau
+    snr, gain = [], []
+    for p, beta, p_dl, var in zip(alloc.p_up, profile.beta, alloc.p_dl,
+                                  stats.vartheta):
+        snr.append(tau * p * beta)
+        mrt = math.sqrt(p_dl / (N * var)) if p_dl > 0 and var > 0 else 0.0
+        gain.append(mrt * math.sqrt(tau * p) * beta / (1.0 + snr[-1]))
+    users = [(m, tau * p, beta)
+             for m, (p, beta) in enumerate(zip(alloc.p_up, profile.beta))]
+    for j, (q, eta, q_dl, var) in enumerate(zip(alloc.q_up, profile.eta,
+                                               alloc.q_dl, stats.gamma)):
+        snr.append(tau * float(np.dot(q, eta)))
+        mrt = math.sqrt(q_dl / (N * var)) if q_dl > 0 and var > 0 else 0.0
+        gain.append(mrt * snr[-1] / (1.0 + snr[-1]))
+        users += [(U + j, tau * q_k, eta_k) for q_k, eta_k in zip(q, eta)]
+
+    norm2 = [(1.0 + s) * x
+             for s, x in zip(snr, rng.standard_gamma(N, len(snr)))]
+    exponentials = rng.standard_exponential((len(users), len(snr)))
+    normals = rng.standard_normal((len(users), 2))
+    coeff = np.zeros(len(users), dtype=complex)
+    power = np.zeros((len(users), len(snr)))
+    for k, (own, pilot, fade) in enumerate(users):
+        a = math.sqrt(pilot) * fade / (1.0 + snr[own])
+        sigma = math.sqrt(max(0.0, fade - a * a * (1.0 + snr[own])))
+        z = complex(*normals[k]) / math.sqrt(2.0)
+        coeff[k] = gain[own] * (a * norm2[own]
+                                + math.sqrt(norm2[own]) * sigma * z)
+        for c in range(len(snr)):
+            power[k, c] = abs(coeff[k]) ** 2 if c == own \
+                else fade * gain[c] ** 2 * norm2[c] * exponentials[k, c]
+    return coeff, power
+
+
+def _full_channel_chunk(scenario, seed, n):
+    """The same sums from full channel draws, estimates and precoders."""
+    config, profile, alloc = scenario
+    stats = EstimationStats.from_allocation(alloc, profile)
+    own_col = np.concatenate([np.arange(config.n_unicast),
+                              config.n_unicast + config.layout.member_group])
+    users = np.arange(len(own_col))
+    acc = montecarlo._Accumulator(len(users), config.n_pilots)
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        real = draw_channels(profile, config, rng)
+        est = estimate_channels(real, alloc, profile, rng)
+        V, W = mrt_precoders(est, alloc, stats)
+        rx = real.h @ np.hstack([V, W]).conj()
+        power = np.abs(rx) ** 2
+        acc.add(rx[users, own_col].conj(), power, power**2)
+    return acc
+
+
+class TestSufficientDraw:
+    def test_realization_follows_the_documented_layout(self, three_groups):
+        config, profile, alloc = three_groups
+        stats = EstimationStats.from_allocation(alloc, profile)
+        cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
+        seed = 37
+        for i in range(3):
+            coeff, power = _draw_reference(
+                config, profile, alloc, stats,
+                np.random.Generator(np.random.SFC64(
+                    np.random.SeedSequence(seed, spawn_key=(i,)))))
+            acc = montecarlo._run_chunk(cond, seed, range(i, i + 1))
+            np.testing.assert_allclose(acc.sum_c, coeff, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(acc.sum_cross, power, rtol=1e-12,
+                                       atol=0)
+            # the zero downlink power gives a zero column, the zero pilot
+            # power a coefficient of mean 0 but not 0
+            assert np.all(acc.sum_cross[:, 1] == 0.0)
+            assert coeff[2 + 4] != 0.0
+
+    def test_agrees_with_the_full_channel_simulator(self, three_groups):
+        # two-sample z of every per-(user, pilot) mean power and of the real
+        # and imaginary parts of every mean own coefficient, Bonferroni over
+        # the nonzero terms at family-wise level 1e-3
+        n = 5000
+        config, profile, alloc = three_groups
+        stats = EstimationStats.from_allocation(alloc, profile)
+        cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
+        new = montecarlo._run_chunk(cond, 41, range(n))
+        full = _full_channel_chunk(three_groups, 43, n)
+        own_col = cond.own_col
+
+        def moments(acc):
+            users = np.arange(len(own_col))
+            mean_c = acc.sum_c / n
+            re2 = acc.sum_re2_c / n
+            im2 = acc.sum_cross[users, own_col] / n - re2
+            mean_power = acc.sum_cross / n
+            means = np.concatenate([mean_power.ravel(), mean_c.real,
+                                    mean_c.imag])
+            second = np.concatenate([(acc.sum_cross_sq / n).ravel(), re2,
+                                     im2])
+            return means, np.maximum(0.0, second - means**2) / n
+
+        (m1, v1), (m2, v2) = moments(new), moments(full)
+        spread = np.sqrt(v1 + v2)
+        zero = spread == 0.0
+        assert np.all(m1[zero] == 0.0) and np.all(m2[zero] == 0.0)
+        # the zero-power column (8 users) and its own user's coefficient
+        assert np.count_nonzero(zero) == 8 + 2
+        z_bound = NormalDist().inv_cdf(1 - 1e-3 / (2 * np.sum(~zero)))
+        z = np.abs(m1 - m2)[~zero] / spread[~zero]
+        assert np.max(z) <= z_bound, np.argmax(z)
+
+    def test_high_pilot_snr_clamps_the_conditional_variance(self):
+        # a single-member group with s = tau q eta = 7e16: fading - a^2 (1+s)
+        # rounds below 0, and its square root would raise
+        config = make_system(n_unicast=1, n_groups=1, group_sizes=(1,),
+                             n_antennas=32, total_dl_power=5.0, energy=1e17)
+        profile = LargeScaleProfile(beta=[0.8], eta=[[0.7]])
+        alloc = PowerAllocation(p_dl=[2.0], q_dl=[3.0], p_up=[1.0],
+                                q_up=[[5e16]], tau=2)
+        s = 2 * 5e16 * 0.7
+        a = math.sqrt(2 * 5e16) * 0.7 / (1.0 + s)
+        assert 0.7 - a * a * (1.0 + s) < 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = empirical_sinr(config, profile, alloc, 2000, seed=44,
+                                    n_workers=1)
+        member = report.multicast[0]
+        assert math.isfinite(member.self_interference)
+        assert abs(member.desired_power - member.desired_power_analytic) \
+            < 3 * member.desired_power_se
 
 
 SMALL_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
