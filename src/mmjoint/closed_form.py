@@ -2,7 +2,8 @@
 
 Everything here is evaluated in natural (linear) scale with float64; dB
 conversion is left to the I/O boundary.  Infeasible allocations raise instead
-of being clamped, so sweep code cannot silently corrupt results.
+of being clamped, so sweep code cannot silently corrupt results.  ``mrt_sinr``
+is the one MRT SINR law; the solvers and the Monte Carlo evaluate it too.
 """
 
 from __future__ import annotations
@@ -178,25 +179,31 @@ class SpectralEfficiencies:
     se_multicast: Grouped
 
 
+def mrt_sinr(n_antennas, power, variance, fading, total_power):
+    """MRT SINR N p var / (1 + fading P) of a user with downlink ``power``,
+    estimate ``variance`` and large-scale ``fading`` when P = ``total_power``.
+    Broadcasts, and multiplies left to right so each caller keeps its bits."""
+    return n_antennas * power * variance / (1.0 + fading * total_power)
+
+
+def _mrt_sinr_se(config, alloc, power, variance, fading):
+    """Check ``alloc``, then (sinr, se) of its users: ``mrt_sinr`` at its
+    total power, and SE = (1 - tau/T) * log2(1 + SINR)."""
+    alloc.check_feasible(config)
+    sinr = mrt_sinr(config.n_antennas, power, variance, fading,
+                    alloc.unicast_power + alloc.multicast_power)
+    return sinr, config.prelog(alloc.tau) * np.log2(1.0 + sinr)
+
+
 def sinr_se_unicast(
     config: SystemConfig,
     stats: EstimationStats,
     alloc: PowerAllocation,
     profile: LargeScaleProfile,
 ):
-    """Per-unicast-user (sinr, se) under MRT.
-
-    SINR_m = N * p_m * vartheta_m / (1 + beta_m * (P_un + P_mu)), and
-    SE_m = (1 - tau/T) * log2(1 + SINR_m).
-    """
-    alloc.check_feasible(config)
-    total = alloc.unicast_power + alloc.multicast_power
-    p = np.asarray(alloc.p_dl)
-    beta = np.asarray(profile.beta)
-    vartheta = np.asarray(stats.vartheta)
-    sinr = config.n_antennas * p * vartheta / (1.0 + beta * total)
-    se = config.prelog(alloc.tau) * np.log2(1.0 + sinr)
-    return sinr, se
+    """Per-unicast-user (sinr, se): ``mrt_sinr`` of p_m, vartheta_m, beta_m."""
+    return _mrt_sinr_se(config, alloc, np.asarray(alloc.p_dl),
+                        np.asarray(stats.vartheta), np.asarray(profile.beta))
 
 
 def sinr_se_multicast(
@@ -205,16 +212,12 @@ def sinr_se_multicast(
     alloc: PowerAllocation,
     profile: LargeScaleProfile,
 ):
-    """Per-multicast-user (sinr, se) under MRT, grouped like ``profile.eta``.
-
-    SINR_jk = N * q_j * xi_jk / (1 + eta_jk * (P_un + P_mu)).
-    """
-    alloc.check_feasible(config)
-    total = alloc.unicast_power + alloc.multicast_power
-    q_dl = np.asarray(alloc.q_dl)[config.layout.member_group]
-    sinr = config.n_antennas * q_dl * stats.xi.flat \
-        / (1.0 + profile.eta.flat * total)
-    se = config.prelog(alloc.tau) * np.log2(1.0 + sinr)
+    """Per-multicast-user (sinr, se), grouped like ``profile.eta``:
+    ``mrt_sinr`` of q_j, xi_jk, eta_jk."""
+    # the allocation's layout: a mismatched one fails the feasibility check
+    q_dl = np.asarray(alloc.q_dl)[alloc.q_up.layout.member_group]
+    sinr, se = _mrt_sinr_se(config, alloc, q_dl, stats.xi.flat,
+                            profile.eta.flat)
     return Grouped(sinr, config.layout), Grouped(se, config.layout)
 
 

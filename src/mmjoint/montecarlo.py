@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import (RAISE_FP_ERRORS, EstimationStats, PowerAllocation,
-                          pilot_scaling)
+                          mrt_sinr, pilot_scaling)
 from .scenario import GroupLayout, Grouped, LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
@@ -123,29 +123,19 @@ class ChannelEstimates:
                 in zip(self.q_up, self.eta, self.g_hat_composite)]
 
 
-def _crandn(rng: np.random.Generator, std: np.ndarray, n: int,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of circularly-symmetric complex Gaussians, row r CN(0, std_r^2 I).
-
-    One ``standard_normal`` call fills all rows, real and imaginary parts
-    interleaved, into ``out`` (a float (rows, 2n) array) if it is given.
-    """
-    x = rng.standard_normal((len(std), 2 * n), out=out)
+def _crandn(rng: np.random.Generator, std: np.ndarray, n: int) -> np.ndarray:
+    """Row r of circularly-symmetric complex Gaussians CN(0, std_r^2 I), all
+    from one ``standard_normal`` call, real and imaginary parts interleaved."""
+    x = rng.standard_normal((len(std), 2 * n))
     x *= np.sqrt(0.5) * std[:, None]
     return x.view(np.complex128)
 
 
-def draw_channels(
-    profile: LargeScaleProfile, config: SystemConfig, rng: np.random.Generator,
-    out: np.ndarray | None = None,
-) -> ChannelRealization:
-    """i.i.d. Rayleigh channels with per-antenna variances beta / eta.
-
-    ``out``, a float (U + sum K_g, 2N) array, receives the draw; the
-    realization's ``h`` is then a view of it.
-    """
+def draw_channels(profile: LargeScaleProfile, config: SystemConfig,
+                  rng: np.random.Generator) -> ChannelRealization:
+    """i.i.d. Rayleigh channels with per-antenna variances beta / eta."""
     config.check_users("profile", len(profile.beta), profile.eta)
-    h = _crandn(rng, np.sqrt(profile.fading), config.n_antennas, out)
+    h = _crandn(rng, np.sqrt(profile.fading), config.n_antennas)
     return ChannelRealization(h=h, n_unicast=config.n_unicast,
                               layout=config.layout)
 
@@ -424,9 +414,9 @@ def _breakdowns(config, profile, alloc, stats, own_col, acc):
     fade = profile.fading
     dl_power = np.concatenate([alloc.p_dl, np.asarray(alloc.q_dl)[group]])
     variance = np.concatenate([stats.vartheta, stats.xi.flat])
-    num_analytic = config.n_antennas * dl_power * variance
     fields = dict(
-        desired_power=desired, desired_power_analytic=num_analytic,
+        desired_power=desired,
+        desired_power_analytic=config.n_antennas * dl_power * variance,
         desired_power_se=desired_se, self_interference=var_c,
         self_interference_se=self_se, same_service_interference=same_power,
         same_service_interference_se=np.sqrt(
@@ -437,7 +427,8 @@ def _breakdowns(config, profile, alloc, stats, own_col, acc):
         same_service_analytic=fade * np.where(is_unicast, p_un, p_mu),
         cross_service_analytic=fade * np.where(is_unicast, p_mu, p_un),
         sinr_empirical=desired / (1.0 + var_c + same_power + cross_power),
-        sinr_analytic=num_analytic / (1.0 + fade * (p_un + p_mu)),
+        sinr_analytic=mrt_sinr(config.n_antennas, dl_power, variance, fade,
+                               p_un + p_mu),
     )
     services = ["unicast"] * U + ["multicast"] * config.n_multicast
     member = np.arange(config.n_multicast) - layout.starts[group]

@@ -31,6 +31,7 @@ from .closed_form import (
     RAISE_FP_ERRORS,
     estimation_variance_unicast,
     member_estimation_variances,
+    mrt_sinr,
 )
 from .scenario import Grouped, LargeScaleProfile, SystemConfig
 
@@ -132,9 +133,11 @@ def mmf_arrays(
 
     eta = profile.eta.flat
     budgets = config.multicast_energy_budgets.flat
-    upsilon = np.minimum.reduceat(budgets * eta**2 / (1.0 + eta * P),
+    upsilon = np.minimum.reduceat(mrt_sinr(1, budgets, eta**2, eta, P),
                                   layout.starts)
+    # upsilon / mrt_sinr(1, 1.0, eta**2, eta, P), written out for its rounding
     x_star = (1.0 + eta * P) / eta**2 * upsilon[layout.member_group]
+    # P*K + sum 1/eta is sum_jk 1/mrt_sinr(1, 1.0, eta, eta, P), likewise
     denom = P * config.n_multicast + np.sum(1 / upsilon) + np.sum(1 / eta)
     gain = 1.0 + np.add.reduceat(x_star * eta, layout.starts)
     q_per_sinr = gain / (N * upsilon)  # group power per unit SINR
@@ -212,6 +215,7 @@ def wsse_arrays(
     beta = np.asarray(profile.beta, dtype=float)
     alpha = np.asarray(config.unicast_weights, dtype=float)
     vartheta = energy * beta**2 / (1.0 + energy * beta)
+    # 1 / mrt_sinr(N, 1.0, vartheta, beta, P), written out for its rounding
     floors = (1.0 + beta * P) / (config.n_antennas * vartheta)
     order = np.argsort(-alpha / floors, kind="stable")
     a_cum = np.concatenate(([0.0], np.cumsum(alpha[order])))
@@ -227,7 +231,7 @@ def wsse_arrays(
     nu[on] = a_cum[k[on]] / (LN2 * (target[on] + f_cum[k[on]]))
     p_dl = np.maximum(0.0, alpha / (nu[:, None] * LN2) - floors)
 
-    sinr = config.n_antennas * p_dl * vartheta / (1.0 + beta * P)
+    sinr = mrt_sinr(config.n_antennas, p_dl, vartheta, beta, P)
     objective = config.prelog(tau) * np.sum(alpha * np.log2(1.0 + sinr), axis=1)
     return WsseArrays(objective, p_dl, nu, energy / tau, tau, vartheta)
 
@@ -448,8 +452,8 @@ def _oracle_mmf(config, profile, grid_steps, p_mu, taus):
         q_up = energy / tau
         xi, _ = member_estimation_variances(tau, q_up, eta, layout)
         # each group's worst per-power SINR coefficient, per combination
-        coeffs = np.minimum.reduceat(
-            xi / (1.0 + eta * config.total_dl_power), layout.starts, axis=1)
+        coeffs = np.minimum.reduceat(mrt_sinr(
+            1, 1.0, xi, eta, config.total_dl_power), layout.starts, axis=1)
         # min SINR over groups for every (combination, downlink split)
         min_sinr = np.min(dl_per_coeff * coeffs[:, None, :], axis=2)
         # math.log2, not numpy's log2, which differs from it in the last bit
@@ -474,8 +478,8 @@ def _oracle_wsse(config, profile, grid_steps, p_un, taus):
     for tau in taus:
         # row f: every user's pilot power at fraction f of its budget
         p_up = ORACLE_PILOT_FRACTIONS[:, None] * energy / tau
-        gain = config.n_antennas * estimation_variance_unicast(
-            tau, p_up, beta) / (1.0 + beta * config.total_dl_power)
+        gain = mrt_sinr(config.n_antennas, 1.0, estimation_variance_unicast(
+            tau, p_up, beta), beta, config.total_dl_power)
         # user i's term depends only on its own fraction, so at every split
         # the best combination keeps each user's first best fraction (float
         # addition is monotone, so no other combination sums higher)

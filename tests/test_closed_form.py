@@ -10,6 +10,7 @@ from mmjoint.closed_form import (
     estimation_variance_multicast,
     estimation_variance_unicast,
     evaluate,
+    mrt_sinr,
     pilot_scaling,
     sinr_se_multicast,
     sinr_se_unicast,
@@ -89,6 +90,37 @@ class TestEstimationVarianceMulticast:
         xi, gamma = estimation_variance_multicast(tau, q, eta)
         assert np.all(xi < np.asarray(eta))
         assert gamma > 0.0
+
+
+class TestMrtSinr:
+    @given(st.integers(1, 1024), positive, positive, positive)
+    def test_zero_total_power_leaves_the_numerator(self, n, p, var, fading):
+        assert mrt_sinr(n, p, var, fading, 0.0) == n * p * var
+
+    @given(st.integers(1, 1024), positive, positive, positive, positive)
+    def test_linear_in_power_and_antennas(self, n, p, var, fading, total):
+        sinr = mrt_sinr(n, p, var, fading, total)
+        # doubling is exact in binary floating point
+        assert mrt_sinr(n, 2.0 * p, var, fading, total) == 2.0 * sinr
+        assert mrt_sinr(2 * n, p, var, fading, total) == 2.0 * sinr
+        assert mrt_sinr(n, 3.0 * p, var, fading, total) == \
+            pytest.approx(3.0 * sinr, rel=1e-14)
+        assert mrt_sinr(3 * n, p, var, fading, total) == \
+            pytest.approx(3.0 * sinr, rel=1e-14)
+
+    def test_zero_power_or_variance_gives_zero(self):
+        assert mrt_sinr(64, 0.0, 0.7, 1.2, 5.0) == 0.0
+        assert mrt_sinr(64, 2.0, 0.0, 1.2, 5.0) == 0.0
+
+    def test_split_rows_broadcast_against_per_user_values(self):
+        # as wsse_arrays passes them: (n, U) powers, (U,) variance and fading
+        rng = np.random.default_rng(5)
+        power = rng.uniform(0.0, 3.0, (7, 4))
+        var, fading = rng.uniform(0.1, 2.0, 4), rng.uniform(0.1, 2.0, 4)
+        sinr = mrt_sinr(64, power, var, fading, 5.0)
+        assert sinr.shape == (7, 4)
+        for row, p in zip(sinr, power):
+            assert np.array_equal(row, mrt_sinr(64, p, var, fading, 5.0))
 
 
 class TestSinrSe:

@@ -12,7 +12,8 @@ import pytest
 
 from mmjoint import montecarlo
 from mmjoint.cli import load_config_file
-from mmjoint.closed_form import EstimationStats, PowerAllocation, pilot_scaling
+from mmjoint.closed_form import (EstimationStats, PowerAllocation, evaluate,
+                                 pilot_scaling)
 from mmjoint.montecarlo import (
     draw_channels,
     empirical_sinr,
@@ -556,6 +557,42 @@ class TestSufficientDraw:
 
 SMALL_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                             "small.json")
+
+
+@pytest.fixture
+def small_config():
+    """configs/small.json at its Monte Carlo split, with both optimal
+    allocations."""
+    cfg = load_config_file(SMALL_CONFIG)
+    system = cfg.system()
+    p_un = cfg.montecarlo["unicast_power_fraction"] * cfg.total_dl_power
+    mmf = solve_mmf(system, cfg.profile, p_un)
+    wsse = solve_wsse(system, cfg.profile, cfg.total_dl_power - p_un)
+    alloc = PowerAllocation(p_dl=wsse.p_dl, q_dl=mmf.q_dl, p_up=wsse.p_up,
+                            q_up=mmf.q_up, tau=system.n_pilots)
+    return system, cfg.profile, alloc
+
+
+class TestAnalyticFieldsMatchClosedForm:
+    """The report's analytic fields are the closed forms, bit for bit."""
+
+    @pytest.mark.parametrize("scenario", ["three_groups", "small_config"])
+    def test_sinr_and_desired_power(self, scenario, request):
+        config, profile, alloc = request.getfixturevalue(scenario)
+        report = empirical_sinr(config, profile, alloc,
+                                montecarlo.MIN_REALIZATIONS, seed=5,
+                                n_workers=1)
+        closed = evaluate(config, alloc, profile)
+        stats = EstimationStats.from_allocation(alloc, profile)
+        N = config.n_antennas
+        assert [u.sinr_analytic for u in report.unicast] == \
+            closed.sinr_unicast
+        assert [u.desired_power_analytic for u in report.unicast] == [
+            N * p * var for p, var in zip(alloc.p_dl, stats.vartheta)]
+        assert [u.sinr_analytic for u in report.multicast] == \
+            closed.sinr_multicast.flat.tolist()
+        assert [u.desired_power_analytic for u in report.multicast] == [
+            N * q * var for q, xi in zip(alloc.q_dl, stats.xi) for var in xi]
 
 
 class TestMultiSeedAgreement:
