@@ -19,7 +19,7 @@ from .montecarlo import (  # noqa: F401
 )
 from .optimizers import (  # noqa: F401
     MmfSolution,
-    ParetoPoint,
+    ParetoBoundary,
     WsseSolution,
     brute_force_oracle,
     check_convexity,

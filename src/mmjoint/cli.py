@@ -27,13 +27,11 @@ from .closed_form import InfeasibleAllocationError, PowerAllocation
 from .montecarlo import MIN_REALIZATIONS, empirical_sinr, usable_cpus
 from .optimizers import (
     MIN_CONVEXITY_POINTS,
-    boundary_convexity,
     brute_force_oracle,
-    mmf_arrays,
+    check_convexity,
+    pareto_sweep,
     solve_mmf,
     solve_wsse,
-    sweep_splits,
-    wsse_arrays,
 )
 from .scenario import (
     ATTENUATION_CONST,
@@ -459,19 +457,19 @@ def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:
     if not P > 0.0:
         raise ConfigError("scenario.total_dl_power",
                           "a sweep needs a positive total downlink power")
-    # one grid for every N: P and the point count do not depend on N
-    p_un, p_mu = sweep_splits(P, cfg.sweep["n_points"])
-    grid = grid_text(p_un, p_mu)
-    series, convexity = {}, {}
+    series, convexity, grid = {}, {}, None
     for n in cfg.sweep["antenna_counts"]:
-        system = cfg.system(n_antennas=n)
-        o_mu = mmf_arrays(system, cfg.profile, p_un).objective
-        o_un = wsse_arrays(system, cfg.profile, p_mu).objective
+        sweep = pareto_sweep(cfg.system(n_antennas=n), cfg.profile,
+                             cfg.sweep["n_points"])
+        p_un = sweep.p_un
+        o_mu, o_un = sweep.mmf.objective, sweep.wsse.objective
         try:
-            convexity[str(n)] = asdict(boundary_convexity(p_un, o_mu, o_un))
+            convexity[str(n)] = asdict(check_convexity(p_un, o_mu, o_un))
         except ValueError as exc:  # e.g. fading so weak that every SE is 0
             raise ConfigError("scenario",
                               f"the Pareto boundary is degenerate: {exc}")
+        # one grid for every N: P and the point count do not depend on N
+        grid = grid or grid_text(p_un, sweep.p_mu)
         series[n] = SeriesText(p_un, P, grid, _texts(o_mu), _texts(o_un))
     prov = cfg.provenance()
     # the JSON check for non-finite values runs before any file is written

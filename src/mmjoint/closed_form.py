@@ -49,7 +49,7 @@ class PowerAllocation:
             raise ValueError("p_dl and p_up must cover the same unicast users, "
                              "q_dl and q_up the same groups")
         powers = np.concatenate([self.p_dl, self.q_dl, self.p_up, self.q_up.flat])
-        if np.any(powers < 0):
+        if not np.all(powers >= 0):  # NaN fails too
             raise ValueError("powers must be nonnegative")
 
     @property

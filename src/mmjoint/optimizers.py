@@ -8,14 +8,15 @@ The array core: ``mmf_arrays`` and ``wsse_arrays`` evaluate a whole array of
 power splits in one pass and return one array per per-split quantity (the
 objectives, the common SINR Gamma, the downlink powers ``q_dl``/``p_dl``, the
 water level nu) next to the split-independent values (pilot powers, upsilon,
-x_star, vartheta_star), which are computed once.  ``boundary_convexity``
-checks a boundary given as the arrays ``(p_un, o_mu, o_un)``: its midpoint
-test visits O(n) pairs when a rounding-aware slope certificate shows the
-boundary concave, and all n(n-1)/2 pairs otherwise.  The per-point
-objects wrap this core: ``solve_mmf`` and ``solve_wsse`` are its one-split
-case, ``pareto_sweep`` runs it over the grid of ``sweep_splits``, and
-``check_convexity`` passes the swept points to ``boundary_convexity``.  The
-CLI's ``pareto`` reads the arrays directly.
+x_star, vartheta_star), which are computed once.  ``pareto_sweep`` runs
+them over a uniform grid of splits and returns the boundary as a
+``ParetoBoundary`` of those arrays; ``solve_mmf`` and ``solve_wsse`` are their
+one-split case, returned as one ``MmfSolution`` or ``WsseSolution``.
+``check_convexity`` checks a boundary given as the arrays ``(p_un, o_mu,
+o_un)``: its midpoint test visits O(n) pairs when a rounding-aware slope
+certificate shows the boundary concave, and all n(n-1)/2 pairs otherwise.
+The CLI's ``pareto`` runs ``pareto_sweep`` and ``check_convexity`` for each
+antenna count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +43,7 @@ MIN_CONVEXITY_POINTS = 3
 # largest violation a boundary may show and still read as convex
 CONVEXITY_TOL = 1e-9
 
-# boundary-point pairs boundary_convexity evaluates per chunk (at least one
+# boundary-point pairs check_convexity evaluates per chunk (at least one
 # offset of every open row), so its temporaries do not grow with the square of
 # the points
 _PAIR_BLOCK = 1 << 14
@@ -80,18 +81,6 @@ class WsseSolution:
     tau: int
     water_level_nu: float | None
     vartheta_star: list
-
-
-@dataclass
-class ParetoPoint:
-    """One boundary point: a power split with both optimal objective values."""
-
-    p_un: float
-    p_mu: float
-    o_mu: float
-    o_un: float
-    mmf: MmfSolution
-    wsse: WsseSolution
 
 
 @dataclass
@@ -150,16 +139,6 @@ def mmf_arrays(
                      Grouped(x_star, layout))
 
 
-def _mmf_solutions(core: MmfArrays) -> list[MmfSolution]:
-    """One ``MmfSolution`` per split of ``core``; they share its
-    split-independent values."""
-    # positional, in field order: the cheapest way to build many of them
-    return list(map(MmfSolution, core.objective.tolist(),
-                    core.common_sinr.tolist(), core.q_dl.tolist(),
-                    repeat(core.q_up), repeat(core.tau),
-                    repeat(core.upsilon.tolist()), repeat(core.x_star)))
-
-
 def solve_mmf(
     config: SystemConfig, profile: LargeScaleProfile, p_un: float
 ) -> MmfSolution:
@@ -174,7 +153,9 @@ def solve_mmf(
     if not 0.0 <= p_un <= config.total_dl_power:
         raise ValueError("p_un must lie in [0, total_dl_power]")
     core = mmf_arrays(config, profile, np.array([p_un], dtype=float))
-    return _mmf_solutions(core)[0]
+    return MmfSolution(core.objective.item(), core.common_sinr.item(),
+                       core.q_dl[0].tolist(), core.q_up, core.tau,
+                       core.upsilon.tolist(), core.x_star)
 
 
 @dataclass
@@ -236,15 +217,6 @@ def wsse_arrays(
     return WsseArrays(objective, p_dl, nu, energy / tau, tau, vartheta)
 
 
-def _wsse_solutions(core: WsseArrays) -> list[WsseSolution]:
-    """One ``WsseSolution`` per split of ``core``, as ``_mmf_solutions``."""
-    p_up, vartheta = core.p_up.tolist(), core.vartheta_star.tolist()
-    # no water level where no unicast user is active
-    nu = np.where(np.isfinite(core.nu), core.nu, None).tolist()
-    return list(map(WsseSolution, core.objective.tolist(), core.p_dl.tolist(),
-                    repeat(p_up), repeat(core.tau), nu, repeat(vartheta)))
-
-
 def solve_wsse(
     config: SystemConfig, profile: LargeScaleProfile, p_mu: float
 ) -> WsseSolution:
@@ -257,39 +229,40 @@ def solve_wsse(
     if not 0.0 <= p_mu <= config.total_dl_power:
         raise ValueError("p_mu must lie in [0, total_dl_power]")
     core = wsse_arrays(config, profile, np.array([p_mu], dtype=float))
-    return _wsse_solutions(core)[0]
+    nu = core.nu.item()  # no water level where no unicast user is active
+    return WsseSolution(core.objective.item(), core.p_dl[0].tolist(),
+                        core.p_up.tolist(), core.tau,
+                        nu if math.isfinite(nu) else None,
+                        core.vartheta_star.tolist())
 
 
-def sweep_splits(P: float, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uniform grid of ``n_points`` splits P_un + P_mu = P, as the arrays
-    (p_un, p_mu), p_un increasing from 0 to P."""
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    p_un = np.linspace(0.0, 1.0, n_points) * P
-    return p_un, P - p_un
+class ParetoBoundary(NamedTuple):
+    """The swept boundary: the splits ``p_un`` and ``p_mu`` (n,), p_un
+    increasing from 0 to P, and both solutions on them.  The objectives
+    o_mu and o_un are ``mmf.objective`` and ``wsse.objective``."""
+
+    p_un: np.ndarray
+    p_mu: np.ndarray
+    mmf: MmfArrays
+    wsse: WsseArrays
 
 
 def pareto_sweep(
     config: SystemConfig, profile: LargeScaleProfile, n_points: int = 21
-) -> list[ParetoPoint]:
-    """Sweep the boundary P_un + P_mu = P over a uniform grid of power splits;
-    raises ``FloatingPointError`` as ``mmf_arrays`` and ``wsse_arrays`` do."""
-    p_un, p_mu = sweep_splits(config.total_dl_power, n_points)
-    mmf = mmf_arrays(config, profile, p_un)
-    wsse = wsse_arrays(config, profile, p_mu)
-    return list(map(ParetoPoint, p_un.tolist(), p_mu.tolist(),
-                    mmf.objective.tolist(), wsse.objective.tolist(),
-                    _mmf_solutions(mmf), _wsse_solutions(wsse)))
+) -> ParetoBoundary:
+    """Sweep the boundary P_un + P_mu = P over a uniform grid of ``n_points``
+    power splits; raises ``FloatingPointError`` as ``mmf_arrays`` and
+    ``wsse_arrays`` do."""
+    if n_points < 2:
+        raise ValueError("n_points must be at least 2")
+    P = config.total_dl_power
+    p_un = np.linspace(0.0, 1.0, n_points) * P
+    p_mu = P - p_un
+    return ParetoBoundary(p_un, p_mu, mmf_arrays(config, profile, p_un),
+                          wsse_arrays(config, profile, p_mu))
 
 
-def check_convexity(points: list[ParetoPoint]) -> ConvexityReport:
-    """``boundary_convexity`` of the swept points."""
-    p_un, o_mu, o_un = np.array(
-        [(pt.p_un, pt.o_mu, pt.o_un) for pt in points]).reshape(-1, 3).T
-    return boundary_convexity(p_un, o_mu, o_un)
-
-
-def boundary_convexity(
+def check_convexity(
     p_un: np.ndarray, o_mu: np.ndarray, o_un: np.ndarray
 ) -> ConvexityReport:
     """Verify the boundary points (p_un, o_mu, o_un) bound a convex

@@ -151,8 +151,9 @@ def default_sweeps():
 def test_criterion_5_pareto_convexity(default_sweeps):
     sweeps, elapsed = default_sweeps
     worst = 0.0
-    for n, points in sweeps.items():
-        rep = check_convexity(points)
+    for n, sweep in sweeps.items():
+        rep = check_convexity(sweep.p_un, sweep.mmf.objective,
+                              sweep.wsse.objective)
         assert rep.is_consistent, f"N={n} boundary not convex"
         worst = max(worst, rep.max_violation)
     ok = worst < 1e-9 and elapsed < 1.0
@@ -163,8 +164,8 @@ def test_criterion_5_pareto_convexity(default_sweeps):
 def test_criterion_6_sweep_endpoints(default_sweeps):
     sweeps, _ = default_sweeps
     ok = all(
-        points[0].o_un == 0.0 and points[-1].o_mu == 0.0
-        for points in sweeps.values()
+        sweep.wsse.objective[0] == 0.0 and sweep.mmf.objective[-1] == 0.0
+        for sweep in sweeps.values()
     )
     report(6, ok, "o_un = 0 at P_un = 0 and o_mu = 0 at P_un = P, exactly")
 
@@ -174,8 +175,9 @@ def test_criterion_7_antenna_monotonicity(default_sweeps):
     counts = sorted(sweeps)
     ok = True
     for lo, hi in zip(counts, counts[1:]):
-        for pt_lo, pt_hi in zip(sweeps[lo], sweeps[hi]):
-            ok = ok and pt_hi.o_mu >= pt_lo.o_mu and pt_hi.o_un >= pt_lo.o_un
+        a, b = sweeps[lo], sweeps[hi]
+        ok = ok and bool(np.all(b.mmf.objective >= a.mmf.objective)
+                         and np.all(b.wsse.objective >= a.wsse.objective))
     report(7, ok, f"objectives nondecreasing in N across {counts} at every "
                   "power-split ratio")
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from mmjoint.cli import (
     write_pareto_csv,
 )
 from mmjoint.optimizers import (
-    ParetoPoint,
     check_convexity,
     mmf_arrays,
     pareto_sweep,
@@ -54,6 +54,22 @@ SMALL_CONFIG = {
     "montecarlo": {"n_realizations": 300, "seed": 3, "n_workers": 1},
     "output": {"directory": "out"},
 }
+
+
+class Point(NamedTuple):
+    """One boundary point, as a row of the output files."""
+
+    p_un: float
+    p_mu: float
+    o_mu: float
+    o_un: float
+
+
+def points(sweep) -> list[Point]:
+    """The boundary points of a ``pareto_sweep`` result."""
+    return list(map(Point, sweep.p_un.tolist(), sweep.p_mu.tolist(),
+                    sweep.mmf.objective.tolist(),
+                    sweep.wsse.objective.tolist()))
 
 
 @pytest.fixture
@@ -283,8 +299,9 @@ class TestPareto:
 
         cfg = load_config(raw, {"sweep": {"n_points": 7}})
         prov = cfg.provenance()
-        points_by_n = {n: pareto_sweep(cfg.system(n), cfg.profile, 7)
-                       for n in (64, 32)}
+        sweeps = {n: pareto_sweep(cfg.system(n), cfg.profile, 7)
+                  for n in (64, 32)}
+        points_by_n = {n: points(sweep) for n, sweep in sweeps.items()}
         header = "# " + json.dumps(prov, sort_keys=True)
         rows = sorted((n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un)
                       for n, pts in points_by_n.items() for pt in pts)
@@ -302,13 +319,29 @@ class TestPareto:
                 pt = min(pts, key=lambda p: abs(p.p_un - ratio * total))
                 plot.append(f"{pt.o_mu:.17e}\t{pt.o_un:.17e}")
         report = {"provenance": prov, "convexity": {
-            str(n): vars(check_convexity(pts))
-            for n, pts in points_by_n.items()}}
+            str(n): vars(check_convexity(sweep.p_un, sweep.mmf.objective,
+                                         sweep.wsse.objective))
+            for n, sweep in sweeps.items()}}
         assert (out / "pareto.csv").read_text() == "\n".join(csv) + "\n"
         assert (out / "pareto_plotdata.txt").read_text() == \
             "\n".join(plot) + "\n"
         assert (out / "convexity_report.json").read_text() == json.dumps(
             report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    def test_runs_pareto_sweep_and_check_convexity_per_antenna_count(
+            self, tmp_path, monkeypatch):
+        # perfbench traces these two names as the Pareto layers of `pareto`
+        calls = []
+        for name in ("pareto_sweep", "check_convexity"):
+            def spy(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        path = Path(__file__).resolve().parents[1] / "configs" / "small.json"
+        assert main(["pareto", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 0
+        counts = json.loads(path.read_text())["sweep"]["antenna_counts"]
+        assert calls == ["pareto_sweep", "check_convexity"] * len(counts)
 
     def test_determinism_byte_identical(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -575,12 +608,11 @@ class TestEmitPlotdata:
 
     def test_same_bytes_as_per_row_formatting(self, tmp_path):
         cfg = load_config(SMALL_CONFIG)
-        points_by_n = {n: pareto_sweep(cfg.system(n), cfg.profile, 7)
+        points_by_n = {n: points(pareto_sweep(cfg.system(n), cfg.profile, 7))
                        for n in (32, 64)}
         # p_un 3 lies exactly halfway between the splits 2 and 4 of P = 8
-        halfway = [ParetoPoint(p_un=2.0 * i, p_mu=8.0 - 2.0 * i,
-                               o_mu=5.0 - i, o_un=0.1 * i**2 + 1 / 3,
-                               mmf=None, wsse=None) for i in range(5)]
+        halfway = [Point(p_un=2.0 * i, p_mu=8.0 - 2.0 * i, o_mu=5.0 - i,
+                         o_un=0.1 * i**2 + 1 / 3) for i in range(5)]
         points_by_n[16] = halfway
         ratios = (0.25, 0.375, 0.5, 0.75)
         prov = {"tool": "test"}

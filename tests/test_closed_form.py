@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,13 @@ class TestPowerAllocation:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             make_alloc(p_dl=(-0.1, 1.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_dl", (math.nan, 1.0)), ("q_dl", (math.nan,)),
+        ("p_up", (1.0, math.nan)), ("q_up", ((1.0, math.nan),))])
+    def test_nan_power_rejected(self, field, value):
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_alloc(**{field: value})
 
     def test_totals(self):
         alloc = make_alloc(p_dl=(1.0, 2.0), q_dl=(0.5,))

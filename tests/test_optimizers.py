@@ -18,15 +18,15 @@ from mmjoint import optimizers
 from mmjoint.cli import DEFAULT_CONFIG, load_config
 from mmjoint.optimizers import (
     ConvexityReport,
+    MmfSolution,
     OracleInstanceTooLarge,
-    boundary_convexity,
+    WsseSolution,
     brute_force_oracle,
     check_convexity,
     pareto_sweep,
     solve_mmf,
     solve_wsse,
 )
-from mmjoint.optimizers import ParetoPoint
 from mmjoint.scenario import LargeScaleProfile
 
 from conftest import make_system, random_scenario
@@ -253,25 +253,44 @@ class TestSolveWsse:
             assert np.all(marginal[~active] <= nu * (1 + 1e-12))
 
 
+def swept(config, profile, n_points):
+    """The boundary (p_un, o_mu, o_un) of ``pareto_sweep``."""
+    sweep = pareto_sweep(config, profile, n_points)
+    return sweep.p_un, sweep.mmf.objective, sweep.wsse.objective
+
+
+def row(sweep, i):
+    """Row i of a ``pareto_sweep`` result as the one-split solvers return it:
+    (its ``MmfSolution``, its ``WsseSolution``)."""
+    mmf, wsse = sweep.mmf, sweep.wsse
+    nu = wsse.nu[i]
+    return (MmfSolution(mmf.objective[i], mmf.common_sinr[i],
+                        mmf.q_dl[i].tolist(), mmf.q_up, mmf.tau,
+                        mmf.upsilon.tolist(), mmf.x_star),
+            WsseSolution(wsse.objective[i], wsse.p_dl[i].tolist(),
+                         wsse.p_up.tolist(), wsse.tau,
+                         None if math.isinf(nu) else nu,
+                         wsse.vartheta_star.tolist()))
+
+
 class TestParetoSweep:
     def test_point_count_and_split(self, small_system, small_profile):
-        pts = pareto_sweep(small_system, small_profile, n_points=21)
-        assert len(pts) == 21
+        sweep = pareto_sweep(small_system, small_profile, n_points=21)
         P = small_system.total_dl_power
-        for pt in pts:
-            assert pt.p_un + pt.p_mu == P
+        assert sweep.p_un.tolist() == (np.linspace(0.0, 1.0, 21) * P).tolist()
+        assert np.all(sweep.p_un + sweep.p_mu == P)
+        assert sweep.mmf.objective.shape == sweep.wsse.objective.shape \
+            == sweep.p_mu.shape == (21,)
 
     def test_endpoints(self, small_system, small_profile):
-        pts = pareto_sweep(small_system, small_profile, n_points=11)
-        assert pts[0].p_un == 0.0 and pts[0].o_un == 0.0
-        assert pts[-1].p_mu == 0.0 and pts[-1].o_mu == 0.0
+        p_un, o_mu, o_un = swept(small_system, small_profile, 11)
+        assert p_un[0] == 0.0 and o_un[0] == 0.0
+        assert p_un[-1] == small_system.total_dl_power and o_mu[-1] == 0.0
 
     def test_monotone_objectives(self, small_system, small_profile):
-        pts = pareto_sweep(small_system, small_profile, n_points=15)
-        o_mu = [pt.o_mu for pt in pts]
-        o_un = [pt.o_un for pt in pts]
-        assert all(b < a for a, b in zip(o_mu, o_mu[1:]))
-        assert all(b > a for a, b in zip(o_un, o_un[1:]))
+        _, o_mu, o_un = swept(small_system, small_profile, 15)
+        assert np.all(np.diff(o_mu) < 0)
+        assert np.all(np.diff(o_un) > 0)
 
     def test_too_few_points(self, small_system, small_profile):
         with pytest.raises(ValueError):
@@ -281,38 +300,15 @@ class TestParetoSweep:
     def test_points_equal_single_solves(self, seed):
         rng = np.random.default_rng(200 + seed)
         config, profile = random_scenario(rng, u_max=8, g_max=3, k_max=4)
-        for pt in pareto_sweep(config, profile, n_points=31):
-            assert pt.mmf == solve_mmf(config, profile, pt.p_un)
-            assert pt.wsse == solve_wsse(config, profile, pt.p_mu)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_core_arrays_equal_the_wrapped_fields(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        config, profile = random_scenario(rng, u_max=8, g_max=3, k_max=4)
-        pts = pareto_sweep(config, profile, n_points=31)
-        p_un, p_mu = optimizers.sweep_splits(config.total_dl_power, 31)
-        mmf = optimizers.mmf_arrays(config, profile, p_un)
-        wsse = optimizers.wsse_arrays(config, profile, p_mu)
-        assert p_un.tolist() == [pt.p_un for pt in pts]
-        assert p_mu.tolist() == [pt.p_mu for pt in pts]
-        assert mmf.objective.tolist() == [pt.o_mu for pt in pts] \
-            == [pt.mmf.objective for pt in pts]
-        assert mmf.common_sinr.tolist() == [pt.mmf.common_sinr for pt in pts]
-        assert mmf.q_dl.tolist() == [pt.mmf.q_dl for pt in pts]
-        assert wsse.objective.tolist() == [pt.o_un for pt in pts] \
-            == [pt.wsse.objective for pt in pts]
-        assert wsse.p_dl.tolist() == [pt.wsse.p_dl for pt in pts]
+        sweep = pareto_sweep(config, profile, n_points=31)
+        for i in range(31):
+            assert (solve_mmf(config, profile, sweep.p_un[i]),
+                    solve_wsse(config, profile, sweep.p_mu[i])) \
+                == row(sweep, i)
         # no water level where no unicast power is left: at p_un = 0 only
-        assert [None if math.isinf(nu) else nu for nu in wsse.nu.tolist()] \
-            == [pt.wsse.water_level_nu for pt in pts]
-        assert pts[0].wsse.water_level_nu is None
-        for pt in pts:
-            assert (pt.mmf.q_up, pt.mmf.tau, pt.mmf.upsilon, pt.mmf.x_star) \
-                == (mmf.q_up, mmf.tau, mmf.upsilon.tolist(), mmf.x_star)
-            assert (pt.wsse.p_up, pt.wsse.tau, pt.wsse.vartheta_star) == (
-                wsse.p_up.tolist(), wsse.tau, wsse.vartheta_star.tolist())
-        assert optimizers.boundary_convexity(
-            p_un, mmf.objective, wsse.objective) == check_convexity(pts)
+        assert np.isinf(sweep.wsse.nu).tolist() == [True] + [False] * 30
+        assert solve_wsse(config, profile, sweep.p_mu[0]).water_level_nu \
+            is None
 
     def test_one_split_solvers_are_the_core_at_one_split(self, small_system,
                                                          small_profile):
@@ -327,54 +323,48 @@ class TestParetoSweep:
             wsse.objective[0], wsse.p_dl[0].tolist(), wsse.nu[0])
 
 
-def fake_point(p_un, o_mu, o_un):
-    return ParetoPoint(p_un=p_un, p_mu=1.0 - p_un, o_mu=o_mu, o_un=o_un,
-                       mmf=None, wsse=None)
+def arrays(*points):
+    """The boundary (p_un, o_mu, o_un) through the given points."""
+    return np.array(points, dtype=float).reshape(-1, 3).T
 
 
 class TestCheckConvexity:
     def test_collinear_points(self):
-        pts = [fake_point(0.0, 3.0, 0.0), fake_point(0.5, 2.0, 1.0),
-               fake_point(1.0, 1.0, 2.0)]
-        report = check_convexity(pts)
+        report = check_convexity(*arrays((0.0, 3.0, 0.0), (0.5, 2.0, 1.0),
+                                         (1.0, 1.0, 2.0)))
         assert report.is_consistent
         assert report.max_violation == 0.0
 
     def test_real_sweep_is_convex(self, small_system, small_profile):
-        pts = pareto_sweep(small_system, small_profile, n_points=21)
-        report = check_convexity(pts)
+        report = check_convexity(*swept(small_system, small_profile, 21))
         assert report.is_consistent
         assert report.max_violation < 1e-9
 
     def test_perturbed_point_detected(self, small_system, small_profile):
-        pts = pareto_sweep(small_system, small_profile, n_points=21)
-        pts[10].o_un *= 1.10
-        report = check_convexity(pts)
+        p_un, o_mu, o_un = swept(small_system, small_profile, 21)
+        o_un[10] *= 1.10
+        report = check_convexity(p_un, o_mu, o_un)
         assert not report.is_consistent
         assert report.max_violation > 1e-9
 
     def test_requires_sorted_points(self):
-        pts = [fake_point(0.5, 2.0, 1.0), fake_point(0.0, 3.0, 0.0),
-               fake_point(1.0, 1.0, 2.0)]
         with pytest.raises(ValueError, match="sorted"):
-            check_convexity(pts)
+            check_convexity(*arrays((0.5, 2.0, 1.0), (0.0, 3.0, 0.0),
+                                    (1.0, 1.0, 2.0)))
 
     def test_requires_three_points(self):
-        pts = [fake_point(0.0, 3.0, 0.0), fake_point(1.0, 1.0, 2.0)]
         with pytest.raises(ValueError):
-            check_convexity(pts)
+            check_convexity(*arrays((0.0, 3.0, 0.0), (1.0, 1.0, 2.0)))
 
 
-def row_by_row_convexity(points, tol=1e-9):
+def row_by_row_convexity(p_un, o_mu, o_un, tol=1e-9):
     """check_convexity with one row of pairs (i, j > i) at a time."""
-    x = np.array([pt.o_mu for pt in points])
-    y = np.array([pt.o_un for pt in points])
-    order = np.argsort(x)
-    x, y = x[order], y[order]
+    order = np.argsort(o_mu)
+    x, y = o_mu[order], o_un[order]
     slopes = np.diff(y) / np.diff(x)
     slope_violation = float(max(0.0, np.max(np.diff(slopes), initial=0.0)))
     dominance_violation = 0.0
-    for i in range(len(points) - 1):
+    for i in range(len(x) - 1):
         mid_x = 0.5 * (x[i] + x[i + 1:])
         mid_y = 0.5 * (y[i] + y[i + 1:])
         dominance_violation = max(
@@ -390,7 +380,8 @@ def row_by_row_convexity(points, tol=1e-9):
 
 
 def boundary(kind, n, rng):
-    """Fake boundary points of one kind; o_mu falls as p_un grows."""
+    """A fake boundary (p_un, o_mu, o_un) of one kind; o_mu falls as p_un
+    grows."""
     x = np.sort(rng.uniform(0.0, 10.0, n))[::-1]
     if kind == "non-concave":
         y = rng.uniform(0.0, 10.0, n)
@@ -398,8 +389,7 @@ def boundary(kind, n, rng):
         y = np.sqrt(10.0 - x) + rng.normal(0.0, 1e-3, n)
     else:  # collinear
         y = 7.0 - 0.6 * x
-    return [fake_point(i / (n - 1), a, b)
-            for i, (a, b) in enumerate(zip(x.tolist(), y.tolist()))]
+    return np.arange(n) / (n - 1), x, y
 
 
 class TestBlockedConvexityCheck:
@@ -409,45 +399,37 @@ class TestBlockedConvexityCheck:
     def test_equals_row_by_row(self, kind, n, monkeypatch):
         rng = np.random.default_rng(n)
         for _ in range(5):
-            pts = boundary(kind, n, rng)
-            expected = row_by_row_convexity(pts)
-            assert check_convexity(pts) == expected
+            curve = boundary(kind, n, rng)
+            expected = row_by_row_convexity(*curve)
+            assert check_convexity(*curve) == expected
             for block in (1, 2, n - 1, n, n * n):
                 monkeypatch.setattr(optimizers, "_PAIR_BLOCK", block)
-                assert check_convexity(pts) == expected
+                assert check_convexity(*curve) == expected
             monkeypatch.undo()
 
     def test_real_sweep_equals_row_by_row(self, small_system, small_profile):
-        pts = pareto_sweep(small_system, small_profile, n_points=401)
-        assert check_convexity(pts) == row_by_row_convexity(pts)
-        pts[200].o_un *= 1.01
-        assert check_convexity(pts) == row_by_row_convexity(pts)
+        p_un, o_mu, o_un = swept(small_system, small_profile, 401)
+        assert check_convexity(p_un, o_mu, o_un) \
+            == row_by_row_convexity(p_un, o_mu, o_un)
+        o_un[200] *= 1.01
+        assert check_convexity(p_un, o_mu, o_un) \
+            == row_by_row_convexity(p_un, o_mu, o_un)
 
     def test_rejects_non_finite_values(self):
-        pts = [fake_point(0.0, 3.0, 0.0), fake_point(0.5, 2.0, math.nan),
-               fake_point(1.0, 1.0, 2.0)]
         with pytest.raises(ValueError, match="finite"):
-            check_convexity(pts)
+            check_convexity(*arrays((0.0, 3.0, 0.0), (0.5, 2.0, math.nan),
+                                    (1.0, 1.0, 2.0)))
 
 
 def dense_sweep(n_antennas, n_points):
     """(p_un, o_mu, o_un) of the pareto-dense boundary: the default scenario,
     seed-1 drop."""
     cfg = load_config(copy.deepcopy(DEFAULT_CONFIG))
-    p_un, p_mu = optimizers.sweep_splits(cfg.total_dl_power, n_points)
-    system = cfg.system(n_antennas=n_antennas)
-    return (p_un, optimizers.mmf_arrays(system, cfg.profile, p_un).objective,
-            optimizers.wsse_arrays(system, cfg.profile, p_mu).objective)
-
-
-def as_points(p_un, o_mu, o_un):
-    return [fake_point(*v) for v in zip(np.asarray(p_un).tolist(),
-                                        np.asarray(o_mu).tolist(),
-                                        np.asarray(o_un).tolist())]
+    return swept(cfg.system(n_antennas=n_antennas), cfg.profile, n_points)
 
 
 def interp_elements(monkeypatch, p_un, o_mu, o_un):
-    """Midpoints boundary_convexity passes to np.interp."""
+    """Midpoints check_convexity passes to np.interp."""
     count, interp = [0], np.interp
 
     def counted(x, *args, **kwargs):
@@ -455,7 +437,7 @@ def interp_elements(monkeypatch, p_un, o_mu, o_un):
         return interp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "interp", counted)
-    optimizers.boundary_convexity(p_un, o_mu, o_un)
+    check_convexity(p_un, o_mu, o_un)
     monkeypatch.setattr(np, "interp", interp)
     return count[0]
 
@@ -466,12 +448,11 @@ class TestCertifiedConvexityCheck:
     def test_dense_sweep_equals_row_by_row(self, n_antennas, n_points,
                                            monkeypatch):
         p_un, o_mu, o_un = dense_sweep(n_antennas, n_points)
-        expected = row_by_row_convexity(as_points(p_un, o_mu, o_un))
+        expected = row_by_row_convexity(p_un, o_mu, o_un)
         n = n_points
         for block in (optimizers._PAIR_BLOCK, 1, 2, n - 1, n, n * n):
             monkeypatch.setattr(optimizers, "_PAIR_BLOCK", block)
-            assert optimizers.boundary_convexity(p_un, o_mu, o_un) \
-                == expected
+            assert check_convexity(p_un, o_mu, o_un) == expected
 
     @given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1),
            spread=st.floats(1.0, 6.0),
@@ -502,11 +483,10 @@ class TestCertifiedConvexityCheck:
             y[k % n] += sign * 10.0 ** (y_exp + size_exp)
         assume(np.all(np.diff(x) > 0))
         p_un, o_mu, o_un = np.arange(n, dtype=float), x[::-1], y[::-1]
-        expected = row_by_row_convexity(as_points(p_un, o_mu, o_un))
+        expected = row_by_row_convexity(p_un, o_mu, o_un)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizers, "_PAIR_BLOCK", block)
-            assert optimizers.boundary_convexity(p_un, o_mu, o_un) \
-                == expected
+            assert check_convexity(p_un, o_mu, o_un) == expected
 
     def test_offset_grids_where_midpoints_round(self):
         # x = 1e6 + tiny gaps: rounding a midpoint moves the interpolant by
@@ -523,8 +503,8 @@ class TestCertifiedConvexityCheck:
             if np.any(np.diff(x) <= 0):
                 continue
             p_un, o_mu, o_un = np.arange(n, dtype=float), x[::-1], y[::-1]
-            assert optimizers.boundary_convexity(p_un, o_mu, o_un) \
-                == row_by_row_convexity(as_points(p_un, o_mu, o_un))
+            assert check_convexity(p_un, o_mu, o_un) \
+                == row_by_row_convexity(p_un, o_mu, o_un)
 
     def test_certified_sweep_visits_linear_pairs(self, monkeypatch):
         p_un, o_mu, o_un = dense_sweep(100, 1001)
@@ -536,9 +516,7 @@ class TestCertifiedConvexityCheck:
     def test_uncertified_input_visits_each_pair_once_at_most(
             self, kind, monkeypatch):
         n = 200
-        p_un, o_mu, o_un = np.array(
-            [(pt.p_un, pt.o_mu, pt.o_un)
-             for pt in boundary(kind, n, np.random.default_rng(7))]).T
+        p_un, o_mu, o_un = boundary(kind, n, np.random.default_rng(7))
         for block in (optimizers._PAIR_BLOCK, 1, 2, n - 1, n, n * n):
             monkeypatch.setattr(optimizers, "_PAIR_BLOCK", block)
             assert interp_elements(monkeypatch, p_un, o_mu, o_un) \
@@ -547,13 +525,8 @@ class TestCertifiedConvexityCheck:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_p_un(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            optimizers.boundary_convexity(
-                np.array([0.0, bad, 1.0]), np.array([3.0, 2.0, 1.0]),
-                np.array([0.0, 1.0, 2.0]))
-        pts = [fake_point(0.0, 3.0, 0.0), fake_point(bad, 2.0, 1.0),
-               fake_point(1.0, 1.0, 2.0)]
-        with pytest.raises(ValueError, match="finite"):
-            check_convexity(pts)
+            check_convexity(*arrays((0.0, 3.0, 0.0), (bad, 2.0, 1.0),
+                                    (1.0, 1.0, 2.0)))
 
 
 class TestBruteForceOracle:
@@ -727,6 +700,6 @@ class TestOracleMatchesLoopReference:
 class TestBoundaryConvexityRejections:
     def test_repeated_o_mu_values(self):
         with pytest.raises(ValueError, match="distinct"):
-            boundary_convexity(np.array([0.0, 1.0, 2.0]),
-                               np.array([1.0, 1.0, 0.0]),
-                               np.array([0.0, 1.0, 2.0]))
+            check_convexity(np.array([0.0, 1.0, 2.0]),
+                            np.array([1.0, 1.0, 0.0]),
+                            np.array([0.0, 1.0, 2.0]))
