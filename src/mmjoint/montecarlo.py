@@ -12,10 +12,18 @@ observation of pilot c, whose N antennas have variance 1 + s_c.  Gaussian
 conditioning, the step that gives the MMSE estimate, writes user k on pilot
 c as h_k = a_k y_c + r_k with r_k ~ CN(0, sigma_k^2 I) independent of y_c.
 So the own coefficient is G_c (a_k ||y_c||^2 + ||y_c|| sigma_k z_k) with
-z_k ~ CN(0, 1), and the power from a precoder c' of another pilot, which is
-independent of h_k, is fading_k G_c'^2 ||y_c'||^2 Exp(1).  The sums are
-kept per (user, precoder) entry, so these per-entry laws are all a
-realization needs: no channel vector and no matmul.
+z_k ~ CN(0, 1).  A precoder c' of another pilot is independent of h_k, so
+given y_c' the power it delivers, |w_c'^H h_k|^2, is
+fading_k G_c'^2 ||y_c'||^2 Exp(1).  The draw keeps the own coefficient
+sampled, since the desired power and the self-interference are read from
+it, but takes each other power as its exact conditional mean
+fading_k G_c'^2 ||y_c'||^2: the Exp(1) factor only adds noise of known mean
+1 (conditional Monte Carlo, or Rao-Blackwellisation).  So the interference
+fields and their SEs estimate the same means as a full channel draw would,
+with the spread of ||y_c'||^2 alone; a wrong G_c, s_c, fading or closed form
+still moves them.  The sums are kept per (user, precoder) entry, so these
+per-entry laws are all a realization needs: no channel vector and no
+matmul.
 
 Reproducibility contract: realization ``i`` of a run with master seed ``s``
 draws from ``Generator(SFC64(SeedSequence(s, spawn_key=(i,))))``, and
@@ -24,26 +32,28 @@ are bit-identical.
 
 Draw layout of one realization: from its substream, first U + G
 ``standard_gamma(N)`` draws, one per pilot (the U unicast pilots, then the
-G group pilots), giving ||y_c||^2 = (1 + s_c) Gamma(N, 1); then a
-(U + sum K_g, U + G) block of ``standard_exponential``, read row by row, one
-row per user (unicast users first, then the members of each group in order)
-and one column per pilot; then U + sum K_g complex normals z_k, users in the
-same order, real and imaginary parts alternating.  A user's own column takes
-|c_k|^2 in place of its exponential.  This layout replaced the channel and
-pilot-noise normals of earlier versions (and SFC64 the PCG64 before them),
-so reports at a given seed differ from those of earlier versions.
+G group pilots), giving ||y_c||^2 = (1 + s_c) Gamma(N, 1); then U + sum K_g
+complex normals z_k, unicast users first, then the members of each group in
+order, real and imaginary parts alternating.  That is U + G + 2 (U + sum K_g)
+values, 2 070 on the default scenario.  This layout replaced a
+(U + sum K_g, U + G) block of exponentials between the two (and earlier the
+channel and pilot-noise normals, and SFC64 the PCG64 before them), so
+reports at a given seed differ from those of earlier versions.
 
-Working set: each chunk of realizations allocates its two (users, U + G)
-buffers once, for the received powers and their squares, and every
-realization of the chunk overwrites them.  Finished chunks are folded into
-the running total in chunk order as they arrive.  At most two chunks per
-worker are in flight (submitted and not yet folded), so chunks that finish
-ahead of their turn cannot pile up with their sums.  By default one worker
-thread runs per CPU the process may use (``usable_cpus``); numpy releases
-the GIL in the random fills, so the threads scale.  No step calls BLAS, so
-the BLAS thread count changes neither the result nor the speed.  A huge
-power overflows the squared powers: the chunk then raises
-``FloatingPointError`` and the pending chunks are cancelled.
+Working set: a chunk of realizations keeps per-pilot sums of ||y_c||^2 and
+||y_c||^4 and per-user sums of the own coefficient's moments, and forms the
+coefficients of ``_BATCH`` realizations at a time in buffers that every
+batch overwrites; at its end it fills the two (users, U + G) sums of its
+``_Accumulator``.  Finished chunks are folded into the running total in
+chunk order as they arrive.  At most two chunks per worker are in flight
+(submitted and not yet folded), so chunks that finish ahead of their turn
+cannot pile up with their sums.  By default one worker thread runs per CPU
+the process may use (``usable_cpus``); numpy releases the GIL in the random
+fills.  No step calls BLAS, so the BLAS thread count changes neither the
+result nor the speed.  A huge power overflows the own coefficients' |c_k|^4
+(the N-fold larger term) or the squared entry powers (fading_k G_c^2)^2:
+the chunk then raises ``FloatingPointError`` and the pending chunks are
+cancelled.
 """
 
 from __future__ import annotations
@@ -62,6 +72,8 @@ from .closed_form import (RAISE_FP_ERRORS, EstimationStats, PowerAllocation,
 from .scenario import GroupLayout, Grouped, LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
+# realizations of a chunk whose own coefficients are formed together
+_BATCH = 8
 # chunks in flight per worker: enough to keep every worker busy while the
 # oldest chunk is folded
 _WINDOW_PER_WORKER = 2
@@ -216,7 +228,8 @@ class UserSinrBreakdown:
     The desired power is |E[h^H w]|^2; ``self_interference`` is the variance
     of the effective channel coefficient; the interference fields are mean
     received powers from the other precoders, grouped into the user's own
-    service and the other service.
+    service and the other service, averaged from their means given the
+    pilot observations (see the module docstring).
     """
 
     service: str  # "unicast" or "multicast"
@@ -261,6 +274,11 @@ class _Accumulator:
 
     Rows are users (unicast first, then every group's members); columns are
     the U + G precoders, so a user's own column holds its |c|^2 and |c|^4.
+    A chunk of the draw fills every other column with the conditional mean
+    power and its square, fading_k G_c^2 sum ||y_c||^2 and
+    (fading_k G_c^2)^2 sum ||y_c||^4, so the interference SEs are those of
+    the conditional means.  ``add`` takes one realization's received
+    powers as a full channel simulation gives them.
     """
 
     def __init__(self, n_users: int, n_cols: int):
@@ -346,29 +364,47 @@ class _Conditioning:
 
 @RAISE_FP_ERRORS  # per worker thread: errstate does not cross threads
 def _run_chunk(cond: _Conditioning, seed, indices):
-    users = np.arange(len(cond.own_col))
-    shape = cond.entry_power.shape
-    acc = _Accumulator(*shape)
-    # overwritten by every realization of the chunk
-    power, square = np.empty(shape), np.empty(shape)
-    normals = np.empty((len(users), 2))
-    for i in indices:
-        rng = _substream(seed, i)
-        # ||y_c||^2 per pilot
-        norm2 = cond.one_plus_snr * rng.standard_gamma(
-            cond.n_antennas, len(cond.one_plus_snr))
-        # |w_c^H h_k|^2 for a pilot c that user k does not use: given y_c,
-        # w_c^H h_k is CN(0, fading_k G_c^2 ||y_c||^2)
-        rng.standard_exponential(out=power)
-        power *= cond.entry_power
-        power *= norm2
+    n_users, n_pilots = cond.entry_power.shape
+    own = cond.own_col
+    acc = _Accumulator(n_users, n_pilots)
+    acc.n = len(indices)
+    # per pilot, the sums of ||y_c||^2 and ||y_c||^4; per user, of |c_k|^2
+    # and |c_k|^4
+    sum_norm2, sum_norm4 = np.zeros(n_pilots), np.zeros(n_pilots)
+    sum_abs2, sum_abs4 = np.zeros(n_users), np.zeros(n_users)
+    half_spread = np.sqrt(0.5) * cond.own_spread
+    # overwritten by every batch of the chunk
+    gammas = np.empty((_BATCH, n_pilots))
+    normals = np.empty((_BATCH, n_users, 2))
+    for start in range(0, len(indices), _BATCH):
+        batch = indices[start:start + _BATCH]
+        for row, i in enumerate(batch):
+            rng = _substream(seed, i)
+            rng.standard_gamma(cond.n_antennas, out=gammas[row])
+            rng.standard_normal(out=normals[row])
+        # ||y_c||^2 per realization and pilot
+        norm2 = gammas[:len(batch)] * cond.one_plus_snr
+        sum_norm2 += norm2.sum(axis=0)
+        sum_norm4 += np.square(norm2).sum(axis=0)
         # w_c^H h_k = G_c (a_k ||y_c||^2 + ||y_c|| sigma_k z_k) on its own
         # pilot, with z_k ~ CN(0, 1)
-        z = rng.standard_normal(out=normals).view(np.complex128)[:, 0]
-        z *= np.sqrt(0.5) * cond.own_spread * np.sqrt(norm2)[cond.own_col]
-        c = cond.own_mean * norm2[cond.own_col] + z
-        power[users, cond.own_col] = np.square(c.real) + np.square(c.imag)
-        acc.add(c, power, np.square(power, out=square))
+        own_norm2 = norm2[:, own]
+        c = normals[:len(batch)].view(np.complex128)[..., 0]
+        c *= half_spread * np.sqrt(own_norm2)
+        c += cond.own_mean * own_norm2
+        acc.sum_c += c.sum(axis=0)
+        re2 = np.square(c.real)
+        acc.sum_re2_c += re2.sum(axis=0)
+        abs2 = np.add(re2, np.square(c.imag), out=re2)
+        sum_abs2 += abs2.sum(axis=0)
+        sum_abs4 += np.square(abs2).sum(axis=0)
+    # |w_c^H h_k|^2 for a pilot c that user k does not use is, given y_c,
+    # fading_k G_c^2 ||y_c||^2 Exp(1): its conditional mean drops the Exp(1)
+    np.multiply(cond.entry_power, sum_norm2, out=acc.sum_cross)
+    np.multiply(np.square(cond.entry_power), sum_norm4, out=acc.sum_cross_sq)
+    users = np.arange(n_users)
+    acc.sum_cross[users, own] = sum_abs2
+    acc.sum_cross_sq[users, own] = sum_abs4
     return acc
 
 

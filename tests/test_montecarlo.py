@@ -424,7 +424,8 @@ class TestSubstream:
 
 
 def _draw_reference(config, profile, alloc, stats, rng):
-    """One realization's own coefficients and per-(user, pilot) powers, with
+    """One realization's own coefficients and per-(user, pilot) powers, the
+    other pilots' powers as their means given the pilot observations, with
     one loop per pilot and user, reading the documented draw layout from
     ``rng``."""
     N, U, tau = config.n_antennas, config.n_unicast, alloc.tau
@@ -445,7 +446,6 @@ def _draw_reference(config, profile, alloc, stats, rng):
 
     norm2 = [(1.0 + s) * x
              for s, x in zip(snr, rng.standard_gamma(N, len(snr)))]
-    exponentials = rng.standard_exponential((len(users), len(snr)))
     normals = rng.standard_normal((len(users), 2))
     coeff = np.zeros(len(users), dtype=complex)
     power = np.zeros((len(users), len(snr)))
@@ -457,7 +457,7 @@ def _draw_reference(config, profile, alloc, stats, rng):
                                 + math.sqrt(norm2[own]) * sigma * z)
         for c in range(len(snr)):
             power[k, c] = abs(coeff[k]) ** 2 if c == own \
-                else fade * gain[c] ** 2 * norm2[c] * exponentials[k, c]
+                else fade * gain[c] ** 2 * norm2[c]
     return coeff, power
 
 
@@ -495,6 +495,10 @@ class TestSufficientDraw:
             np.testing.assert_allclose(acc.sum_c, coeff, rtol=1e-12, atol=0)
             np.testing.assert_allclose(acc.sum_cross, power, rtol=1e-12,
                                        atol=0)
+            np.testing.assert_allclose(acc.sum_cross_sq, power**2,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(acc.sum_re2_c, coeff.real**2,
+                                       rtol=1e-12, atol=0)
             # the zero downlink power gives a zero column, the zero pilot
             # power a coefficient of mean 0 but not 0
             assert np.all(acc.sum_cross[:, 1] == 0.0)
@@ -533,6 +537,56 @@ class TestSufficientDraw:
         z_bound = NormalDist().inv_cdf(1 - 1e-3 / (2 * np.sum(~zero)))
         z = np.abs(m1 - m2)[~zero] / spread[~zero]
         assert np.max(z) <= z_bound, np.argmax(z)
+
+    def test_batches_cover_every_realization(self, three_groups):
+        # 17 realizations: two full batches and a batch of one
+        config, profile, alloc = three_groups
+        stats = EstimationStats.from_allocation(alloc, profile)
+        cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
+        indices = range(3, 20)
+        assert len(indices) % montecarlo._BATCH != 0
+        chunk = montecarlo._run_chunk(cond, 47, indices)
+        singles = montecarlo._Accumulator(*cond.entry_power.shape)
+        for i in indices:
+            singles.merge(montecarlo._run_chunk(cond, 47, range(i, i + 1)))
+        assert chunk.n == singles.n == len(indices)
+        for name, value in vars(singles).items():
+            np.testing.assert_allclose(getattr(chunk, name), value,
+                                       rtol=1e-12, atol=0, err_msg=name)
+
+    def test_chunk_working_set_does_not_grow_with_its_length(self):
+        # 208 users on 12 pilots
+        config = make_system(n_unicast=8, n_groups=4,
+                             group_sizes=(50,) * 4, n_antennas=8)
+        profile = LargeScaleProfile(beta=[1.0] * 8, eta=[[1.0] * 50] * 4)
+        alloc = PowerAllocation(p_dl=[0.25] * 8, q_dl=[0.5] * 4,
+                                p_up=[0.5] * 8, q_up=[[0.5] * 50] * 4,
+                                tau=12)
+        stats = EstimationStats.from_allocation(alloc, profile)
+        cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
+
+        def peak(n_realizations):
+            tracemalloc.start()
+            try:
+                montecarlo._run_chunk(cond, 45, range(n_realizations))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # first-call allocations are not counted
+        # one (realizations, users) array of coefficients takes 1.7 MB at
+        # 512 realizations
+        assert peak(512) < 1.25 * peak(64)
+
+    def test_partial_batch_is_bit_identical_across_workers(self,
+                                                           three_groups):
+        # the second chunk of 1001 realizations ends in a partial batch
+        n = 1001
+        assert (n % montecarlo._CHUNK) % montecarlo._BATCH != 0
+        one, two, four = (
+            empirical_sinr(*three_groups, n, seed=46, n_workers=workers)
+            for workers in (1, 2, 4))
+        assert one.to_dict() == two.to_dict() == four.to_dict()
 
     def test_high_pilot_snr_clamps_the_conditional_variance(self):
         # a single-member group with s = tau q eta = 7e16: fading - a^2 (1+s)
@@ -626,3 +680,24 @@ class TestMultiSeedAgreement:
             }
             for term, (diff, se) in terms.items():
                 assert abs(diff) <= z * se, (u.service, u.index, term)
+
+
+class TestConditionalMeanCalibration:
+    def test_z_scores_have_unit_spread(self, small_config):
+        # the reported SEs are the spread of the estimates they belong to:
+        # over 100 seeds, each user's z-score of the desired and the
+        # cross-service term has a standard deviation within 0.2 of 1 (the
+        # sample deviation of 100 normals is 1 +- 0.07)
+        config, profile, alloc = small_config
+        z = []
+        for seed in range(100):
+            report = empirical_sinr(config, profile, alloc, 200, seed=seed,
+                                    n_workers=1)
+            users = report.unicast + report.multicast
+            z.append([[(u.desired_power - u.desired_power_analytic)
+                       / u.desired_power_se for u in users],
+                      [(u.cross_service_interference
+                        - u.cross_service_analytic)
+                       / u.cross_service_interference_se for u in users]])
+        spread = np.std(z, axis=0, ddof=1)
+        assert np.all((spread >= 0.8) & (spread <= 1.2)), spread
