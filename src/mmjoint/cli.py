@@ -644,12 +644,16 @@ def _overrides(args) -> dict:
     """The command-line overrides as ``load_config`` takes them, so that
     ``provenance`` records what is computed."""
     flags = vars(args)  # a command's namespace has only its own flags
-    n, points, seed = map(flags.get, ("n", "points", "seed"))
+    n, points, seed, p_un, p_mu = map(flags.get,
+                                      ("n", "points", "seed", "p_un", "p_mu"))
     if n is not None and n < 1:
         raise ConfigError("--n", "antenna count must be a positive integer")
     if points is not None and points < MIN_CONVEXITY_POINTS:
         raise ConfigError("--points", "a sweep needs at least "
                           f"{MIN_CONVEXITY_POINTS} points")
+    for flag, power in zip(_SPLIT_FLAGS, (p_un, p_mu)):
+        if power is not None and not math.isfinite(power):
+            raise ConfigError(flag, "a power must be a finite number")
     overrides = {"scenario": {}, "sweep": {}, "montecarlo": {}}
     if seed is not None:
         # a new drop replaces explicit distances

@@ -25,12 +25,18 @@ still moves them.  The sums are kept per (user, precoder) entry, so these
 per-entry laws are all a realization needs: no channel vector and no
 matmul.
 
-Reproducibility contract: realization ``i`` of a run with master seed ``s``
-draws from ``Generator(SFC64(SeedSequence(s, spawn_key=(i,))))``, and
-averages are reduced in fixed chunk order, so sequential and parallel runs
-are bit-identical.
+Reproducibility contract: realizations are split into chunks of ``_CHUNK``
+at fixed starts 0, ``_CHUNK``, 2 ``_CHUNK``, ...; the chunk starting at
+realization ``i`` of a run with master seed ``s`` draws its realizations in
+order, one after the other, from the single stream
+``Generator(SFC64(SeedSequence(s, spawn_key=(i,))))``.  Averages are reduced
+in fixed chunk order, so sequential and parallel runs are bit-identical.
+Parallel runs need independent streams per chunk, not one per realization
+(L'Ecuyer et al., Math. Comput. Simul. 2017); earlier versions built one
+generator per realization, so reports at a given seed differ from theirs
+in every realization but the first of each chunk.
 
-Draw layout of one realization: from its substream, first U + G
+Draw layout of one realization: from its chunk's stream, first U + G
 ``standard_gamma(N)`` draws, one per pilot (the U unicast pilots, then the
 G group pilots), giving ||y_c||^2 = (1 + s_c) Gamma(N, 1); then U + sum K_g
 complex normals z_k, unicast users first, then the members of each group in
@@ -48,12 +54,13 @@ batch overwrites; at its end it fills the two (users, U + G) sums of its
 chunk order as they arrive.  At most two chunks per worker are in flight
 (submitted and not yet folded), so chunks that finish ahead of their turn
 cannot pile up with their sums.  By default one worker thread runs per CPU
-the process may use (``usable_cpus``); numpy releases the GIL in the random
-fills.  No step calls BLAS, so the BLAS thread count changes neither the
-result nor the speed.  A huge power overflows the own coefficients' |c_k|^4
-(the N-fold larger term) or the squared entry powers (fading_k G_c^2)^2:
-the chunk then raises ``FloatingPointError`` and the pending chunks are
-cancelled.
+the process may use (``usable_cpus``).  A chunk builds its generator once;
+the random fills, most of a realization's time, run without the GIL, so
+the workers' chunks run side by side.  No step calls BLAS, so the BLAS
+thread count changes neither the result nor the speed.  A huge power
+overflows the own coefficients' |c_k|^4 (the N-fold larger term) or the
+squared entry powers (fading_k G_c^2)^2: the chunk then raises
+``FloatingPointError`` and the pending chunks are cancelled.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from .scenario import GroupLayout, Grouped, LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
 # realizations of a chunk whose own coefficients are formed together
-_BATCH = 8
+_BATCH = 16
 # chunks in flight per worker: enough to keep every worker busy while the
 # oldest chunk is folded
 _WINDOW_PER_WORKER = 2
@@ -283,9 +290,12 @@ class _Accumulator:
 
     def __init__(self, n_users: int, n_cols: int):
         self.n = 0
-        # effective desired-channel coefficients (complex scalars per user)
+        # effective desired-channel coefficients (complex scalars per user):
+        # sums of c, (Re c)^2, Re c Im c and |c|^2 c
         self.sum_c = np.zeros(n_users, dtype=complex)
         self.sum_re2_c = np.zeros(n_users)
+        self.sum_re_im_c = np.zeros(n_users)
+        self.sum_abs2_c = np.zeros(n_users, dtype=complex)
         # received powers from each of the U+G precoders
         self.sum_cross = np.zeros((n_users, n_cols))
         self.sum_cross_sq = np.zeros((n_users, n_cols))
@@ -294,6 +304,8 @@ class _Accumulator:
         self.n += 1
         self.sum_c += c
         self.sum_re2_c += c.real**2
+        self.sum_re_im_c += c.real * c.imag
+        self.sum_abs2_c += np.abs(c)**2 * c
         self.sum_cross += cross
         self.sum_cross_sq += cross_sq
 
@@ -306,8 +318,9 @@ class _Accumulator:
 
 
 def _substream(seed: int, i: int) -> np.random.Generator:
-    """The generator of realization ``i``: SFC64 on the substream
-    ``SeedSequence(seed, spawn_key=(i,))``."""
+    """The generator of the chunk whose first realization is ``i``: SFC64 on
+    the substream ``SeedSequence(seed, spawn_key=(i,))``.  The chunk reads
+    all its realizations from it, in order."""
     return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(seed, spawn_key=(i,))))
 
@@ -376,28 +389,38 @@ def _run_chunk(cond: _Conditioning, seed, indices):
     # overwritten by every batch of the chunk
     gammas = np.empty((_BATCH, n_pilots))
     normals = np.empty((_BATCH, n_users, 2))
+    # two (realization, user) arrays: ||y_c||^2 on each user's own pilot
+    # and the spread factor of z_k, then (Re c_k)^2 and (Im c_k)^2
+    work = np.empty((2, _BATCH, n_users))
+    # the chunk's realizations, in order, each in the layout of the module
+    # docstring, from one stream
+    rng = _substream(seed, indices.start)
     for start in range(0, len(indices), _BATCH):
-        batch = indices[start:start + _BATCH]
-        for row, i in enumerate(batch):
-            rng = _substream(seed, i)
+        rows = min(_BATCH, len(indices) - start)
+        for row in range(rows):
             rng.standard_gamma(cond.n_antennas, out=gammas[row])
             rng.standard_normal(out=normals[row])
         # ||y_c||^2 per realization and pilot
-        norm2 = gammas[:len(batch)] * cond.one_plus_snr
+        norm2 = gammas[:rows] * cond.one_plus_snr
         sum_norm2 += norm2.sum(axis=0)
         sum_norm4 += np.square(norm2).sum(axis=0)
         # w_c^H h_k = G_c (a_k ||y_c||^2 + ||y_c|| sigma_k z_k) on its own
         # pilot, with z_k ~ CN(0, 1)
-        own_norm2 = norm2[:, own]
-        c = normals[:len(batch)].view(np.complex128)[..., 0]
-        c *= half_spread * np.sqrt(own_norm2)
-        c += cond.own_mean * own_norm2
+        own_norm2, spread = work[:, :rows]
+        np.take(norm2, own, axis=1, out=own_norm2)
+        np.sqrt(own_norm2, out=spread)
+        spread *= half_spread
+        c = normals[:rows].view(np.complex128)[..., 0]
+        c *= spread
+        c += np.multiply(own_norm2, cond.own_mean, out=own_norm2)
         acc.sum_c += c.sum(axis=0)
-        re2 = np.square(c.real)
+        re2 = np.square(c.real, out=own_norm2)
         acc.sum_re2_c += re2.sum(axis=0)
-        abs2 = np.add(re2, np.square(c.imag), out=re2)
+        acc.sum_re_im_c += np.einsum("ij,ij->j", c.real, c.imag)
+        abs2 = np.add(re2, np.square(c.imag, out=spread), out=re2)
         sum_abs2 += abs2.sum(axis=0)
-        sum_abs4 += np.square(abs2).sum(axis=0)
+        sum_abs4 += np.einsum("ij,ij->j", abs2, abs2)
+        acc.sum_abs2_c += np.einsum("ij,ij->j", abs2, c)
     # |w_c^H h_k|^2 for a pilot c that user k does not use is, given y_c,
     # fading_k G_c^2 ||y_c||^2 Exp(1): its conditional mean drops the Exp(1)
     np.multiply(cond.entry_power, sum_norm2, out=acc.sum_cross)
@@ -429,10 +452,19 @@ def _breakdowns(config, profile, alloc, stats, own_col, acc):
     # delta-method SE of |mean|^2 plus the usual SE for mean powers
     var_re = np.maximum(0.0, acc.sum_re2_c / n - mean_c.real**2)
     desired_se = 2.0 * np.abs(mean_c) * np.sqrt(var_re / n) + var_c / n
-    var_abs2 = np.maximum(0.0, acc.sum_cross_sq[users, own_col] / n
-                          - mean_abs2**2)
-    self_se = np.sqrt(var_abs2 / n
-                      + (2.0 * np.abs(mean_c)) ** 2 * var_re / n)
+    # delta method for var_c: realization i moves it by
+    # phi = |c|^2 - 2 Re(conj(mean_c) c) over n, up to a constant, so its SE
+    # is the spread of phi; the sum of Re(conj(mean_c) c)^2 from those of
+    # (Re c)^2, (Im c)^2 and Re c Im c
+    m_re, m_im = mean_c.real, mean_c.imag
+    sum_im2 = acc.sum_cross[users, own_col] - acc.sum_re2_c
+    sum_proj2 = (m_re**2 * acc.sum_re2_c + m_im**2 * sum_im2
+                 + 2.0 * m_re * m_im * acc.sum_re_im_c)
+    mean_phi2 = (acc.sum_cross_sq[users, own_col]
+                 - 4.0 * (np.conj(mean_c) * acc.sum_abs2_c).real
+                 + 4.0 * sum_proj2) / n
+    var_phi = np.maximum(0.0, mean_phi2 - (mean_abs2 - 2.0 * desired)**2)
+    self_se = np.sqrt(var_phi / n)
 
     # same service: the other precoders of the user's own service (its own
     # column enters through the desired power and var_c, and var_c counts

@@ -796,6 +796,26 @@ class TestSplitFlags:
         assert "--p-mu: not allowed with argument --p-un" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--p-un", "--p-mu"])
+    @pytest.mark.parametrize("command", ["mmf", "wsse", "validate"])
+    def test_non_finite_split_rejected(self, config_path, tmp_path, capsys,
+                                       command, flag, value):
+        out = tmp_path / "run"
+        assert main([command, "--config", config_path, "--out", str(out),
+                     f"{flag}={value}"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", flag)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--p-un", "--p-mu"])
+    @pytest.mark.parametrize("command", ["mmf", "wsse", "validate"])
+    def test_finite_split_beyond_the_budget_is_infeasible(
+            self, config_path, tmp_path, capsys, command, flag):
+        assert main([command, "--config", config_path, "--out",
+                     str(tmp_path / "run"), flag, "1e30"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "infeasible"
+
 
 class TestOracleCheck:
     def test_default_config_is_consistent(self, tmp_path):

@@ -397,23 +397,25 @@ class TestSinrRelativeError:
 
 
 class TestSubstream:
-    def test_each_realization_draws_from_its_sfc64_substream(
+    def test_each_chunk_draws_from_the_sfc64_substream_of_its_start(
             self, config, profile, alloc, monkeypatch):
-        # the generator of realization i, as the chunk takes it, is SFC64
-        # seeded from SeedSequence(seed, spawn_key=(i,))
+        # one generator per chunk: SFC64 seeded from
+        # SeedSequence(seed, spawn_key=(start,)), start the chunk's first
+        # realization
         seed, n = 29, montecarlo.MIN_REALIZATIONS
-        states, substream = [], montecarlo._substream
+        monkeypatch.setattr(montecarlo, "_CHUNK", 40)
+        calls, substream = [], montecarlo._substream
 
         def recording(seed, i):
             rng = substream(seed, i)
-            states.append(rng.bit_generator.state)
+            calls.append((i, rng.bit_generator.state))
             return rng
 
         monkeypatch.setattr(montecarlo, "_substream", recording)
         empirical_sinr(config, profile, alloc, n, seed=seed, n_workers=1)
-        assert len(states) == n
+        assert [i for i, _ in calls] == [0, 40, 80]
 
-        for i, state in enumerate(states):
+        for i, state in calls:
             fresh = np.random.SFC64(
                 np.random.SeedSequence(seed, spawn_key=(i,))).state
             assert state["bit_generator"] == fresh["bit_generator"]
@@ -421,6 +423,15 @@ class TestSubstream:
                 == fresh["state"]["state"].tolist()
             assert (state["has_uint32"], state["uinteger"]) \
                 == (fresh["has_uint32"], fresh["uinteger"])
+
+    def test_reports_are_bit_identical_across_workers(self, three_groups,
+                                                      monkeypatch):
+        # three chunks, the last one partial
+        monkeypatch.setattr(montecarlo, "_CHUNK", 40)
+        reports = [empirical_sinr(*three_groups, 100, seed=30,
+                                  n_workers=workers).to_dict()
+                   for workers in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
 
 
 def _draw_reference(config, profile, alloc, stats, rng):
@@ -538,19 +549,25 @@ class TestSufficientDraw:
         z = np.abs(m1 - m2)[~zero] / spread[~zero]
         assert np.max(z) <= z_bound, np.argmax(z)
 
-    def test_batches_cover_every_realization(self, three_groups):
-        # 17 realizations: two full batches and a batch of one
+    def test_chunk_reads_its_realizations_from_one_stream(self,
+                                                          three_groups):
+        # 17 realizations: a full batch and a partial one, read in order
+        # from the generator of the chunk's start
         config, profile, alloc = three_groups
         stats = EstimationStats.from_allocation(alloc, profile)
         cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
         indices = range(3, 20)
+        assert montecarlo._BATCH < len(indices)
         assert len(indices) % montecarlo._BATCH != 0
         chunk = montecarlo._run_chunk(cond, 47, indices)
-        singles = montecarlo._Accumulator(*cond.entry_power.shape)
-        for i in indices:
-            singles.merge(montecarlo._run_chunk(cond, 47, range(i, i + 1)))
-        assert chunk.n == singles.n == len(indices)
-        for name, value in vars(singles).items():
+        rng = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(47, spawn_key=(3,))))
+        reference = montecarlo._Accumulator(*cond.entry_power.shape)
+        for _ in indices:
+            coeff, power = _draw_reference(config, profile, alloc, stats, rng)
+            reference.add(coeff, power, power**2)
+        assert chunk.n == reference.n == len(indices)
+        for name, value in vars(reference).items():
             np.testing.assert_allclose(getattr(chunk, name), value,
                                        rtol=1e-12, atol=0, err_msg=name)
 
@@ -699,5 +716,23 @@ class TestConditionalMeanCalibration:
                       [(u.cross_service_interference
                         - u.cross_service_analytic)
                        / u.cross_service_interference_se for u in users]])
+        spread = np.std(z, axis=0, ddof=1)
+        assert np.all((spread >= 0.8) & (spread <= 1.2)), spread
+
+    def test_own_term_z_scores_have_unit_spread(self, small_config):
+        # the own term (self-interference plus same-service interference)
+        # over 100 seeds: each user's z-score has a standard deviation
+        # within 0.2 of 1; the self-interference SE must be the spread of
+        # mean |c|^2 - |mean c|^2, not of its two parts apart
+        config, profile, alloc = small_config
+        z = []
+        for seed in range(100):
+            report = empirical_sinr(config, profile, alloc, 200, seed=seed,
+                                    n_workers=1)
+            z.append([(u.self_interference + u.same_service_interference
+                       - u.same_service_analytic)
+                      / math.hypot(u.self_interference_se,
+                                   u.same_service_interference_se)
+                      for u in report.unicast + report.multicast])
         spread = np.std(z, axis=0, ddof=1)
         assert np.all((spread >= 0.8) & (spread <= 1.2)), spread
