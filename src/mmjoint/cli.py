@@ -312,15 +312,21 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
     # geometry: explicit distances win over a drop seed
     if "unicast_distances" in sc or "multicast_distances" in sc:
         _need(sc, "unicast_distances", "multicast_distances")
-        try:
-            geometry = CellGeometry(
-                unicast_distances=sc["unicast_distances"],
-                multicast_distances=sc["multicast_distances"],
-                cell_radius=sc["cell_radius_m"],
-                exclusion_radius=sc["exclusion_radius_m"],
-            )
-        except ValueError as exc:
-            raise ConfigError("scenario.unicast_distances", str(exc))
+        lo, hi = sc["exclusion_radius_m"], sc["cell_radius_m"]
+        for key, lists, counts in (
+                ("unicast_distances", [sc["unicast_distances"]], [n_unicast]),
+                ("multicast_distances", sc["multicast_distances"], sizes)):
+            got = [len(d) for d in lists]
+            if got != counts:
+                raise ConfigError(f"scenario.{key}", f"{key} must give one "
+                                  f"distance per user: {counts}, not {got}")
+            if not all(lo <= x <= hi for d in lists for x in d):
+                raise ConfigError(f"scenario.{key}", "all distances must "
+                                  "lie in [exclusion_radius, cell_radius]")
+        geometry = CellGeometry(
+            unicast_distances=sc["unicast_distances"],
+            multicast_distances=sc["multicast_distances"],
+            cell_radius=hi, exclusion_radius=lo)
     elif "seed" in sc:
         try:
             geometry = place_users(system, sc["cell_radius_m"],
@@ -352,8 +358,10 @@ def _read_raw_config(path: str | None) -> dict:
     if not p.is_file():
         raise ConfigError("<config>", f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(p.read_text(encoding="utf-8"))
+    # ValueError: invalid JSON, text that is not UTF-8 or an integer past
+    # Python's digit limit; RecursionError: nesting past the parser's depth
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("<config>", f"invalid JSON: {exc}")
 
 

@@ -21,9 +21,10 @@ fading_k G_c'^2 ||y_c'||^2: the Exp(1) factor only adds noise of known mean
 1 (conditional Monte Carlo, or Rao-Blackwellisation).  So the interference
 fields and their SEs estimate the same means as a full channel draw would,
 with the spread of ||y_c'||^2 alone; a wrong G_c, s_c, fading or closed form
-still moves them.  The sums are kept per (user, precoder) entry, so these
-per-entry laws are all a realization needs: no channel vector and no
-matmul.
+still moves them.  So a realization adds only per-user sums of its own
+coefficients' moments and per-pilot sums of ||y_c||^2 and ||y_c||^4; the
+(user, precoder) powers are formed from them once per call, not per
+realization or chunk.  No channel vector and no matmul is needed.
 
 Reproducibility contract: realizations are split into chunks of ``_CHUNK``
 at fixed starts 0, ``_CHUNK``, 2 ``_CHUNK``, ...; the chunk starting at
@@ -46,11 +47,10 @@ values, 2 070 on the default scenario.  This layout replaced a
 channel and pilot-noise normals, and SFC64 the PCG64 before them), so
 reports at a given seed differ from those of earlier versions.
 
-Working set: a chunk of realizations keeps per-pilot sums of ||y_c||^2 and
-||y_c||^4 and per-user sums of the own coefficient's moments, and forms the
-coefficients of ``_BATCH`` realizations at a time in buffers that every
-batch overwrites; at its end it fills the two (users, U + G) sums of its
-``_Accumulator``.  Finished chunks are folded into the running total in
+Working set: a chunk of realizations keeps the per-pilot and per-user sums
+of its ``_Accumulator`` and forms the coefficients of ``_BATCH``
+realizations at a time in buffers that every batch overwrites; it holds no
+(users, U + G) array.  Finished chunks are folded into the running total in
 chunk order as they arrive.  At most two chunks per worker are in flight
 (submitted and not yet folded), so chunks that finish ahead of their turn
 cannot pile up with their sums.  By default one worker thread runs per CPU
@@ -58,9 +58,10 @@ the process may use (``usable_cpus``).  A chunk builds its generator once;
 the random fills, most of a realization's time, run without the GIL, so
 the workers' chunks run side by side.  No step calls BLAS, so the BLAS
 thread count changes neither the result nor the speed.  A huge power
-overflows the own coefficients' |c_k|^4 (the N-fold larger term) or the
-squared entry powers (fading_k G_c^2)^2: the chunk then raises
-``FloatingPointError`` and the pending chunks are cancelled.
+overflows the squared entry powers (fading_k G_c^2)^2, which raises
+``FloatingPointError`` before any chunk starts, or the own coefficients'
+|c_k|^4 (the N-fold larger term), which raises it in a chunk and cancels
+the pending chunks.
 """
 
 from __future__ import annotations
@@ -277,37 +278,29 @@ class MonteCarloReport:
 
 
 class _Accumulator:
-    """Running sums of every per-realization term, merged in fixed order.
+    """Running sums of what the draw produces, merged in fixed order.
 
-    Rows are users (unicast first, then every group's members); columns are
-    the U + G precoders, so a user's own column holds its |c|^2 and |c|^4.
-    A chunk of the draw fills every other column with the conditional mean
-    power and its square, fading_k G_c^2 sum ||y_c||^2 and
-    (fading_k G_c^2)^2 sum ||y_c||^4, so the interference SEs are those of
-    the conditional means.  ``add`` takes one realization's received
-    powers as a full channel simulation gives them.
+    Per user k (unicast first, then every group's members), sums of the own
+    coefficient c_k's moments; per pilot c (the U unicast pilots, then the
+    G group pilots), sums of ||y_c||^2 and ||y_c||^4.  The power that
+    precoder c delivers to a user of another pilot has the conditional mean
+    fading_k G_c^2 ||y_c||^2, so ``_breakdowns`` forms every such mean and
+    its spread from the per-pilot sums.
     """
 
-    def __init__(self, n_users: int, n_cols: int):
+    def __init__(self, n_users: int, n_pilots: int):
         self.n = 0
-        # effective desired-channel coefficients (complex scalars per user):
-        # sums of c, (Re c)^2, Re c Im c and |c|^2 c
+        # own coefficients: sums of c, (Re c)^2, Re c Im c, |c|^2 c, |c|^2
+        # and |c|^4
         self.sum_c = np.zeros(n_users, dtype=complex)
         self.sum_re2_c = np.zeros(n_users)
         self.sum_re_im_c = np.zeros(n_users)
         self.sum_abs2_c = np.zeros(n_users, dtype=complex)
-        # received powers from each of the U+G precoders
-        self.sum_cross = np.zeros((n_users, n_cols))
-        self.sum_cross_sq = np.zeros((n_users, n_cols))
-
-    def add(self, c, cross, cross_sq):
-        self.n += 1
-        self.sum_c += c
-        self.sum_re2_c += c.real**2
-        self.sum_re_im_c += c.real * c.imag
-        self.sum_abs2_c += np.abs(c)**2 * c
-        self.sum_cross += cross
-        self.sum_cross_sq += cross_sq
+        self.sum_abs2 = np.zeros(n_users)
+        self.sum_abs4 = np.zeros(n_users)
+        # pilot observations: sums of ||y_c||^2 and ||y_c||^4
+        self.sum_norm2 = np.zeros(n_pilots)
+        self.sum_norm4 = np.zeros(n_pilots)
 
     def merge(self, other: "_Accumulator"):
         self.n += other.n
@@ -339,6 +332,7 @@ class _Conditioning:
     n_antennas: int
     one_plus_snr: np.ndarray  # (U + G,) 1 + s_c
     entry_power: np.ndarray  # (users, U + G) fading_k G_c^2
+    entry_power_sq: np.ndarray  # its square: a huge power overflows here
     own_col: np.ndarray  # (users,) the pilot c of user k
     own_mean: np.ndarray  # (users,) G_c a_k
     own_spread: np.ndarray  # (users,) G_c sigma_k
@@ -369,22 +363,19 @@ class _Conditioning:
         a = np.sqrt(pilot) * fading / one_plus_snr[own_col]
         # rounding can leave a tiny negative variance when s_c >> 1
         variance = np.maximum(0.0, fading - a * a * one_plus_snr[own_col])
+        entry_power = fading[:, None] * gain**2
         return cls(n_antennas=config.n_antennas, one_plus_snr=one_plus_snr,
-                   entry_power=fading[:, None] * gain**2, own_col=own_col,
+                   entry_power=entry_power,
+                   entry_power_sq=np.square(entry_power), own_col=own_col,
                    own_mean=gain[own_col] * a,
                    own_spread=gain[own_col] * np.sqrt(variance))
 
 
 @RAISE_FP_ERRORS  # per worker thread: errstate does not cross threads
 def _run_chunk(cond: _Conditioning, seed, indices):
-    n_users, n_pilots = cond.entry_power.shape
-    own = cond.own_col
+    n_users, n_pilots = len(cond.own_col), len(cond.one_plus_snr)
     acc = _Accumulator(n_users, n_pilots)
     acc.n = len(indices)
-    # per pilot, the sums of ||y_c||^2 and ||y_c||^4; per user, of |c_k|^2
-    # and |c_k|^4
-    sum_norm2, sum_norm4 = np.zeros(n_pilots), np.zeros(n_pilots)
-    sum_abs2, sum_abs4 = np.zeros(n_users), np.zeros(n_users)
     half_spread = np.sqrt(0.5) * cond.own_spread
     # overwritten by every batch of the chunk
     gammas = np.empty((_BATCH, n_pilots))
@@ -402,12 +393,12 @@ def _run_chunk(cond: _Conditioning, seed, indices):
             rng.standard_normal(out=normals[row])
         # ||y_c||^2 per realization and pilot
         norm2 = gammas[:rows] * cond.one_plus_snr
-        sum_norm2 += norm2.sum(axis=0)
-        sum_norm4 += np.square(norm2).sum(axis=0)
+        acc.sum_norm2 += norm2.sum(axis=0)
+        acc.sum_norm4 += np.square(norm2).sum(axis=0)
         # w_c^H h_k = G_c (a_k ||y_c||^2 + ||y_c|| sigma_k z_k) on its own
         # pilot, with z_k ~ CN(0, 1)
         own_norm2, spread = work[:, :rows]
-        np.take(norm2, own, axis=1, out=own_norm2)
+        np.take(norm2, cond.own_col, axis=1, out=own_norm2)
         np.sqrt(own_norm2, out=spread)
         spread *= half_spread
         c = normals[:rows].view(np.complex128)[..., 0]
@@ -418,20 +409,13 @@ def _run_chunk(cond: _Conditioning, seed, indices):
         acc.sum_re2_c += re2.sum(axis=0)
         acc.sum_re_im_c += np.einsum("ij,ij->j", c.real, c.imag)
         abs2 = np.add(re2, np.square(c.imag, out=spread), out=re2)
-        sum_abs2 += abs2.sum(axis=0)
-        sum_abs4 += np.einsum("ij,ij->j", abs2, abs2)
+        acc.sum_abs2 += abs2.sum(axis=0)
+        acc.sum_abs4 += np.einsum("ij,ij->j", abs2, abs2)
         acc.sum_abs2_c += np.einsum("ij,ij->j", abs2, c)
-    # |w_c^H h_k|^2 for a pilot c that user k does not use is, given y_c,
-    # fading_k G_c^2 ||y_c||^2 Exp(1): its conditional mean drops the Exp(1)
-    np.multiply(cond.entry_power, sum_norm2, out=acc.sum_cross)
-    np.multiply(np.square(cond.entry_power), sum_norm4, out=acc.sum_cross_sq)
-    users = np.arange(n_users)
-    acc.sum_cross[users, own] = sum_abs2
-    acc.sum_cross_sq[users, own] = sum_abs4
     return acc
 
 
-def _breakdowns(config, profile, alloc, stats, own_col, acc):
+def _breakdowns(config, profile, alloc, stats, cond, acc):
     """Turn the accumulated sums into per-user empirical/analytic reports.
 
     Every array has one entry per user, unicast users first, then the group
@@ -444,8 +428,7 @@ def _breakdowns(config, profile, alloc, stats, own_col, acc):
     p_un = alloc.unicast_power
     p_mu = alloc.multicast_power
 
-    users = np.arange(len(own_col))
-    mean_abs2 = acc.sum_cross[users, own_col] / n
+    mean_abs2 = acc.sum_abs2 / n
     mean_c = acc.sum_c / n
     desired = np.abs(mean_c) ** 2
     var_c = np.maximum(0.0, mean_abs2 - desired)
@@ -457,10 +440,10 @@ def _breakdowns(config, profile, alloc, stats, own_col, acc):
     # is the spread of phi; the sum of Re(conj(mean_c) c)^2 from those of
     # (Re c)^2, (Im c)^2 and Re c Im c
     m_re, m_im = mean_c.real, mean_c.imag
-    sum_im2 = acc.sum_cross[users, own_col] - acc.sum_re2_c
+    sum_im2 = acc.sum_abs2 - acc.sum_re2_c
     sum_proj2 = (m_re**2 * acc.sum_re2_c + m_im**2 * sum_im2
                  + 2.0 * m_re * m_im * acc.sum_re_im_c)
-    mean_phi2 = (acc.sum_cross_sq[users, own_col]
+    mean_phi2 = (acc.sum_abs4
                  - 4.0 * (np.conj(mean_c) * acc.sum_abs2_c).real
                  + 4.0 * sum_proj2) / n
     var_phi = np.maximum(0.0, mean_phi2 - (mean_abs2 - 2.0 * desired)**2)
@@ -469,13 +452,17 @@ def _breakdowns(config, profile, alloc, stats, own_col, acc):
     # same service: the other precoders of the user's own service (its own
     # column enters through the desired power and var_c, and var_c counts
     # toward same-service interference analytically); cross: the other
-    # service's precoders
-    mean_cross = acc.sum_cross / n
-    var_cross = np.maximum(0.0, acc.sum_cross_sq / n - mean_cross**2)
-    is_unicast = own_col < U
+    # service's precoders.  |w_c^H h_k|^2 for a pilot c that user k does not
+    # use is, given y_c, fading_k G_c^2 ||y_c||^2 Exp(1): its conditional
+    # mean drops the Exp(1), and its spread is that of ||y_c||^2
+    mean_norm2 = acc.sum_norm2 / n
+    mean_cross = cond.entry_power * mean_norm2
+    var_cross = cond.entry_power_sq * np.maximum(
+        0.0, acc.sum_norm4 / n - mean_norm2**2)
+    is_unicast = cond.own_col < U
     cols = np.arange(config.n_pilots)
     same_block = is_unicast[:, None] == (cols < U)
-    same = same_block & (cols != own_col[:, None])
+    same = same_block & (cols != cond.own_col[:, None])
     same_power = np.sum(mean_cross * same, axis=1)
     cross_power = np.sum(mean_cross * ~same_block, axis=1)
 
@@ -564,8 +551,8 @@ def empirical_sinr(
         for acc in finished:
             total = acc if total is None else total.merge(acc)
 
-    unicast, multicast = _breakdowns(config, profile, alloc, stats,
-                                     cond.own_col, total)
+    unicast, multicast = _breakdowns(config, profile, alloc, stats, cond,
+                                     total)
     return MonteCarloReport(
         n_realizations=n_realizations, seed=seed, unicast=unicast,
         multicast=multicast,

@@ -487,9 +487,10 @@ class TestPowerBudgetBounds:
         assert err["field"] == "scenario"
         assert list(out.iterdir()) == []
 
-    def test_validate_stops_at_the_first_overflowing_chunk(
-            self, tmp_path, capsys, monkeypatch):
-        # every realization overflows the squared powers at this power
+    def test_validate_overflow_starts_no_chunk(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the squared entry powers overflow at this power, before the
+        # Monte Carlo starts a chunk
         path = Path(budget_config(tmp_path, 1e200, 10.0))
         raw = json.loads(path.read_text())
         raw["montecarlo"].update(n_realizations=20000, n_workers=2)
@@ -507,8 +508,7 @@ class TestPowerBudgetBounds:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["field"]) == ("config", "scenario")
         assert list(out.iterdir()) == []
-        window = 2 * montecarlo._WINDOW_PER_WORKER
-        assert 1 <= len(calls) <= 1 + window
+        assert calls == []
 
 
 class TestWriteJson:
@@ -881,6 +881,20 @@ class TestConfigRejections:
         assert err["field"] == "<config>"
         assert err["message"].startswith("invalid JSON")
 
+    @pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"scenario": '
+                                      + b"[" * 100_000 + b"]" * 100_000
+                                      + b"}"], ids=["not-utf8", "deep"])
+    def test_unreadable_json_names_the_config(self, tmp_path, capsys, text):
+        # text that is not UTF-8, and nesting past the decoder's recursion
+        # limit
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        out = tmp_path / "run"
+        assert main(["mmf", "--config", str(path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["field"] == "<config>"
+        assert not out.exists()
+
     def test_distances_outside_the_annulus(self, tmp_path, capsys):
         raw = json.loads(json.dumps(SMALL_CONFIG))
         del raw["scenario"]["seed"]
@@ -892,6 +906,33 @@ class TestConfigRejections:
                      str(tmp_path / "run")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["field"] == "scenario.unicast_distances"
+
+    @pytest.mark.parametrize("command", ["pareto", "mmf", "wsse", "validate"])
+    @pytest.mark.parametrize("unicast, multicast, field", [
+        ([100.0, 200.0, 300.0], [[150.0, 400.0]], "unicast_distances"),
+        ([100.0, 200.0], [[100.0, 200.0, 300.0]], "multicast_distances"),
+        ([100.0, 200.0], [[150.0, 400.0], [150.0, 400.0]],
+         "multicast_distances"),
+        ([100.0, 200.0], [[150.0, 600.0]], "multicast_distances"),
+    ], ids=["unicast-count", "member-count", "group-count",
+            "multicast-annulus"])
+    def test_explicit_distances_name_their_field(self, tmp_path, capsys,
+                                                 command, unicast,
+                                                 multicast, field):
+        # configs/small.json has 2 unicast users and one group of 2, in the
+        # annulus from 35 m to 500 m
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        del raw["scenario"]["seed"]
+        raw["scenario"].update(unicast_distances=unicast,
+                               multicast_distances=multicast)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", f"scenario.{field}")
+        assert not out.exists()
 
 
 class TestFloatingPointErrors:

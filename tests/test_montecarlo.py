@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 import tracemalloc
 import warnings
 from statistics import NormalDist
@@ -318,7 +319,7 @@ class TestEmpiricalSinr:
         assert multiprocessing.active_children() == []
 
     def test_peak_memory_does_not_grow_with_chunk_count(self, monkeypatch):
-        # 208 users and 12 precoders: about 48 KB of sums per chunk
+        # 208 users and 12 precoders: about 14 KB of sums per chunk
         config = make_system(n_unicast=8, n_groups=4, group_sizes=(50,) * 4,
                              n_antennas=8)
         profile = LargeScaleProfile(beta=[1.0] * 8, eta=[[1.0] * 50] * 4)
@@ -336,29 +337,33 @@ class TestEmpiricalSinr:
                 tracemalloc.stop()
 
         peak(2)  # first-call allocations are not counted
-        few, many = peak(2), peak(10)
-        # holding every chunk's sums until the end adds about 390 KB here
+        few, many = peak(2), peak(40)
+        # holding every chunk's sums until the end adds about 500 KB here
         assert many < 1.5 * few
 
     def test_chunks_in_flight_are_bounded(self, config, profile, alloc,
                                           monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK", 5)  # 100 realizations: 20
         run_chunk = montecarlo._run_chunk
+        window = 2 * montecarlo._WINDOW_PER_WORKER
         lock = threading.Lock()
         started = []
-        all_started = threading.Event()
+        window_started = threading.Event()
         started_before_first_returned = []
 
         def first_chunk_waits(*args):
             first = args[-1][0]
             with lock:
                 started.append(first)
-                if len(started) == 20:
-                    all_started.set()
+                if len(started) == window:
+                    window_started.set()
             if first == 0:
-                # if every chunk were submitted at once, the other worker
-                # would start all 19 others while this one waits
-                all_started.wait(timeout=1.0)
+                # the first chunk returns once a window of chunks has
+                # started, and a grace period later: if every chunk were
+                # submitted at once, the other worker would start the 19
+                # others meanwhile
+                assert window_started.wait(timeout=10.0)
+                time.sleep(0.1)
                 with lock:
                     started_before_first_returned.append(len(started))
             return run_chunk(*args)
@@ -366,7 +371,6 @@ class TestEmpiricalSinr:
         monkeypatch.setattr(montecarlo, "_run_chunk", first_chunk_waits)
         report = empirical_sinr(config, profile, alloc, 100, seed=25,
                                 n_workers=2)
-        window = 2 * montecarlo._WINDOW_PER_WORKER
         assert started_before_first_returned[0] <= window
         assert sorted(started) == list(range(0, 100, 5))
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
@@ -435,10 +439,10 @@ class TestSubstream:
 
 
 def _draw_reference(config, profile, alloc, stats, rng):
-    """One realization's own coefficients and per-(user, pilot) powers, the
-    other pilots' powers as their means given the pilot observations, with
-    one loop per pilot and user, reading the documented draw layout from
-    ``rng``."""
+    """One realization's own coefficients, per-(user, pilot) powers (the
+    other pilots' powers as their means given the pilot observations) and
+    per-pilot ||y_c||^2, with one loop per pilot and user, reading the
+    documented draw layout from ``rng``."""
     N, U, tau = config.n_antennas, config.n_unicast, alloc.tau
     snr, gain = [], []
     for p, beta, p_dl, var in zip(alloc.p_up, profile.beta, alloc.p_dl,
@@ -469,26 +473,48 @@ def _draw_reference(config, profile, alloc, stats, rng):
         for c in range(len(snr)):
             power[k, c] = abs(coeff[k]) ** 2 if c == own \
                 else fade * gain[c] ** 2 * norm2[c]
-    return coeff, power
+    return coeff, power, np.array(norm2)
 
 
 def _full_channel_chunk(scenario, seed, n):
-    """The same sums from full channel draws, estimates and precoders."""
+    """From full channel draws, estimates and precoders: the sums of the own
+    coefficients c and of (Re c)^2, and the per-(user, pilot) sums of the
+    received power and its square."""
     config, profile, alloc = scenario
     stats = EstimationStats.from_allocation(alloc, profile)
     own_col = np.concatenate([np.arange(config.n_unicast),
                               config.n_unicast + config.layout.member_group])
     users = np.arange(len(own_col))
-    acc = montecarlo._Accumulator(len(users), config.n_pilots)
+    sum_c = np.zeros(len(users), dtype=complex)
+    sum_re2_c = np.zeros(len(users))
+    sum_power = np.zeros((len(users), config.n_pilots))
+    sum_power_sq = np.zeros_like(sum_power)
     rng = np.random.default_rng(seed)
     for _ in range(n):
         real = draw_channels(profile, config, rng)
         est = estimate_channels(real, alloc, profile, rng)
         V, W = mrt_precoders(est, alloc, stats)
         rx = real.h @ np.hstack([V, W]).conj()
+        c = rx[users, own_col].conj()
+        sum_c += c
+        sum_re2_c += c.real**2
         power = np.abs(rx) ** 2
-        acc.add(rx[users, own_col].conj(), power, power**2)
-    return acc
+        sum_power += power
+        sum_power_sq += power**2
+    return sum_c, sum_re2_c, sum_power, sum_power_sq
+
+
+def _power_sums(cond, acc):
+    """The per-(user, pilot) sums of the power and its square that a chunk's
+    sums stand for: |c_k|^2 and |c_k|^4 on the user's own pilot, the
+    conditional mean powers fading_k G_c^2 ||y_c||^2 and their squares on
+    the others."""
+    users = np.arange(len(cond.own_col))
+    power = cond.entry_power * acc.sum_norm2
+    power_sq = cond.entry_power_sq * acc.sum_norm4
+    power[users, cond.own_col] = acc.sum_abs2
+    power_sq[users, cond.own_col] = acc.sum_abs4
+    return power, power_sq
 
 
 class TestSufficientDraw:
@@ -497,22 +523,27 @@ class TestSufficientDraw:
         stats = EstimationStats.from_allocation(alloc, profile)
         cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
         seed = 37
+
+        def same(actual, desired):
+            np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=0)
+
         for i in range(3):
-            coeff, power = _draw_reference(
+            coeff, power, norm2 = _draw_reference(
                 config, profile, alloc, stats,
                 np.random.Generator(np.random.SFC64(
                     np.random.SeedSequence(seed, spawn_key=(i,)))))
             acc = montecarlo._run_chunk(cond, seed, range(i, i + 1))
-            np.testing.assert_allclose(acc.sum_c, coeff, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(acc.sum_cross, power, rtol=1e-12,
-                                       atol=0)
-            np.testing.assert_allclose(acc.sum_cross_sq, power**2,
-                                       rtol=1e-12, atol=0)
-            np.testing.assert_allclose(acc.sum_re2_c, coeff.real**2,
-                                       rtol=1e-12, atol=0)
+            same(acc.sum_c, coeff)
+            same(acc.sum_norm2, norm2)
+            same(acc.sum_re2_c, coeff.real**2)
+            # |c_k|^2 (sum_abs2) on the own pilot, the conditional mean power
+            # (entry_power sum_norm2) off it, and their squares
+            power_sum, power_sq_sum = _power_sums(cond, acc)
+            same(power_sum, power)
+            same(power_sq_sum, power**2)
             # the zero downlink power gives a zero column, the zero pilot
             # power a coefficient of mean 0 but not 0
-            assert np.all(acc.sum_cross[:, 1] == 0.0)
+            assert np.all(power_sum[:, 1] == 0.0)
             assert coeff[2 + 4] != 0.0
 
     def test_agrees_with_the_full_channel_simulator(self, three_groups):
@@ -523,23 +554,22 @@ class TestSufficientDraw:
         config, profile, alloc = three_groups
         stats = EstimationStats.from_allocation(alloc, profile)
         cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
-        new = montecarlo._run_chunk(cond, 41, range(n))
+        acc = montecarlo._run_chunk(cond, 41, range(n))
+        new = (acc.sum_c, acc.sum_re2_c, *_power_sums(cond, acc))
         full = _full_channel_chunk(three_groups, 43, n)
-        own_col = cond.own_col
+        users = np.arange(len(cond.own_col))
 
-        def moments(acc):
-            users = np.arange(len(own_col))
-            mean_c = acc.sum_c / n
-            re2 = acc.sum_re2_c / n
-            im2 = acc.sum_cross[users, own_col] / n - re2
-            mean_power = acc.sum_cross / n
+        def moments(sum_c, sum_re2_c, sum_power, sum_power_sq):
+            mean_c = sum_c / n
+            re2 = sum_re2_c / n
+            im2 = sum_power[users, cond.own_col] / n - re2
+            mean_power = sum_power / n
             means = np.concatenate([mean_power.ravel(), mean_c.real,
                                     mean_c.imag])
-            second = np.concatenate([(acc.sum_cross_sq / n).ravel(), re2,
-                                     im2])
+            second = np.concatenate([(sum_power_sq / n).ravel(), re2, im2])
             return means, np.maximum(0.0, second - means**2) / n
 
-        (m1, v1), (m2, v2) = moments(new), moments(full)
+        (m1, v1), (m2, v2) = moments(*new), moments(*full)
         spread = np.sqrt(v1 + v2)
         zero = spread == 0.0
         assert np.all(m1[zero] == 0.0) and np.all(m2[zero] == 0.0)
@@ -562,12 +592,21 @@ class TestSufficientDraw:
         chunk = montecarlo._run_chunk(cond, 47, indices)
         rng = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(47, spawn_key=(3,))))
-        reference = montecarlo._Accumulator(*cond.entry_power.shape)
+        reference = {}
         for _ in indices:
-            coeff, power = _draw_reference(config, profile, alloc, stats, rng)
-            reference.add(coeff, power, power**2)
-        assert chunk.n == reference.n == len(indices)
-        for name, value in vars(reference).items():
+            coeff, _, norm2 = _draw_reference(config, profile, alloc, stats,
+                                              rng)
+            abs2 = np.abs(coeff)**2
+            terms = dict(
+                sum_c=coeff, sum_re2_c=coeff.real**2,
+                sum_re_im_c=coeff.real * coeff.imag, sum_abs2_c=abs2 * coeff,
+                sum_abs2=abs2, sum_abs4=abs2**2, sum_norm2=norm2,
+                sum_norm4=norm2**2)
+            for name, value in terms.items():
+                reference[name] = reference.get(name, 0.0) + value
+        assert chunk.n == len(indices)
+        assert set(vars(chunk)) == {"n", *reference}
+        for name, value in reference.items():
             np.testing.assert_allclose(getattr(chunk, name), value,
                                        rtol=1e-12, atol=0, err_msg=name)
 
