@@ -17,6 +17,8 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -103,9 +105,19 @@ _REQUIRED = object()  # default of a field that must be given
 _COUNT = _integer(1)
 _MAPPING = (lambda v: isinstance(v, dict)), "a mapping"
 _NUMBER = _is_number, "a number"
-_POSITIVE = (lambda v: _is_number(v) and 0.0 < v < math.inf,
+
+
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # a JSON integer past the float range
+        return False
+
+
+_FINITE = (lambda v: _is_number(v) and _finite(v)), "a finite number"
+_POSITIVE = (lambda v: _is_number(v) and _finite(v) and v > 0,
              "a finite positive number")
-_NONNEGATIVE = (lambda v: _is_number(v) and 0.0 <= v < math.inf,
+_NONNEGATIVE = (lambda v: _is_number(v) and _finite(v) and v >= 0,
                 "a finite number >= 0")
 
 # block -> key -> (kind, default); a default of None leaves an absent field
@@ -134,10 +146,10 @@ _FIELDS = {
         "pathloss_exponent": (_POSITIVE, PATHLOSS_EXPONENT),
         "attenuation_const": (_POSITIVE, ATTENUATION_CONST),
         "seed": (_integer(0), None),
-        "unicast_distances": (_list_of(_NUMBER), None),
+        "unicast_distances": (_list_of(_FINITE), None),
         "multicast_distances": (_list_of(
-            _list_of(_NUMBER), "a nonempty list of nonempty lists of numbers"),
-            None),
+            _list_of(_FINITE),
+            "a nonempty list of nonempty lists of finite numbers"), None),
     },
     "physical": {key: (_NUMBER, _REQUIRED) for key in (
         "bandwidth_hz", "noise_psd_dbm_per_hz", "dl_power_watts",
@@ -333,6 +345,9 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
                                    sc["exclusion_radius_m"], sc["seed"])
         except ValueError as exc:
             raise ConfigError("scenario.exclusion_radius_m", str(exc))
+        except OverflowError:  # the area of the cell
+            raise ConfigError("scenario.cell_radius_m", "the squared cell "
+                              "radius exceeds the float range")
     else:
         raise ConfigError(
             "scenario.seed", "either a seed or explicit distances are required"
@@ -341,8 +356,9 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         profile = LargeScaleProfile.from_geometry(
             geometry, sc["pathloss_exponent"], sc["attenuation_const"]
         )
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError("scenario", "pathloss_exponent and "
+    # ArithmeticError: a distance's power over- or underflows a float
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError("scenario", "the distances, pathloss_exponent and "
                           f"attenuation_const give unusable fading: {exc}")
 
     return ExperimentConfig(
@@ -450,14 +466,120 @@ def emit_plotdata(
     _write_lines(path, header, lines)
 
 
+_BLOCK = 64  # list entries encoded and written at a time
+
+
+def _scalar_text(o) -> str | None:
+    """The JSON text of a string, number, bool or None; None for any other
+    object."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ConfigError("scenario", _NON_FINITE)
+        return float.__repr__(o)
+    return None
+
+
+def _key_text(key) -> str:
+    """A mapping key as ``json`` writes it: a scalar key becomes a string."""
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError("keys must be str, int, float, bool or None, not "
+                        f"{type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
+def _column_texts(values, level: int):
+    """The JSON texts of ``values``, each at nesting depth ``level``.
+
+    A column of one plain scalar type is encoded in one call.  A column of
+    dicts with one set of string keys, or of lists or tuples of one length
+    shorter than the column, is split into the columns of its entries, and
+    each text is one ``format`` of a template that holds the indentation and
+    the key texts.  Any other column is encoded one value at a time.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        if not all(map(math.isfinite, values)):
+            raise ConfigError("scenario", _NON_FINITE)
+        return map(float.__repr__, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    if kinds == {dict}:
+        keys = values[0].keys()
+        if (keys and all(type(k) is str for k in keys)
+                and all(map(keys.__eq__, map(dict.keys, values)))):
+            keys = sorted(keys)
+            heads = [_key_text(k).replace("{", "{{").replace("}", "}}")
+                     + ": " for k in keys]
+            columns = [list(map(itemgetter(k), values)) for k in keys]
+            return _formatted("{{", heads, "}}", columns, level)
+    elif kinds <= {list, tuple} and len(set(map(len, values))) == 1:
+        if 0 < len(values[0]) < len(values):  # fewer columns than rows
+            columns = list(map(list, zip(*values)))
+            return _formatted("[", [""] * len(columns), "]", columns, level)
+    return ["".join(_json_text(v, level)) for v in values]
+
+
+def _formatted(opening: str, heads: list, closing: str, columns: list,
+               level: int):
+    """The texts of the containers at depth ``level`` whose entries are
+    ``columns``, each entry after its key text in ``heads``."""
+    inner = "\n" + "  " * (level + 1)
+    template = (opening + ",".join(inner + head + "{}" for head in heads)
+                + "\n" + "  " * level + closing)
+    return map(template.format,
+               *[_column_texts(column, level + 1) for column in columns])
+
+
+def _json_text(o, level: int = 0):
+    """Yield the text of ``o`` at nesting depth ``level`` as
+    ``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)`` writes it;
+    a list goes ``_BLOCK`` entries at a time."""
+    text = _scalar_text(o)
+    if text is not None:
+        yield text
+        return
+    inner = "\n" + "  " * (level + 1)
+    closing = "\n" + "  " * level
+    if isinstance(o, dict):
+        opening = "{" + inner
+        for key in sorted(o):
+            yield opening + _key_text(key) + ": "
+            yield from _json_text(o[key], level + 1)
+            opening = "," + inner
+        yield closing + "}" if o else "{}"
+    elif isinstance(o, (list, tuple)):
+        opening = "[" + inner
+        for start in range(0, len(o), _BLOCK):
+            yield opening + ("," + inner).join(
+                _column_texts(o[start:start + _BLOCK], level + 1))
+            opening = "," + inner
+        yield closing + "]" if o else "[]"
+    else:
+        raise TypeError(
+            f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, payload: dict):
-    """Indented JSON, encoded piece by piece straight into the file."""
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
-    try:
-        _write_atomic(path, itertools.chain(encoder.iterencode(payload),
-                                            ["\n"]))
-    except ValueError:  # the encoder refuses NaN and infinity
-        raise ConfigError("scenario", _NON_FINITE)
+    """Write ``payload`` as the bytes of ``json.dumps(payload, indent=2,
+    sort_keys=True, allow_nan=False)`` and a newline, streamed into the
+    file.  A list is encoded a block of entries at a time, and a block of
+    same-key dicts column by column.  NaN or infinity raises ``ConfigError``
+    naming ``scenario``, and an object that is not JSON ``TypeError``;
+    either way ``path`` keeps what it held."""
+    _write_atomic(path, itertools.chain(_json_text(payload), ["\n"]))
 
 
 def _cmd_pareto(cfg: ExperimentConfig, args, out_dir: Path) -> int:

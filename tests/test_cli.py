@@ -968,3 +968,104 @@ class TestFloatingPointErrors:
             montecarlo.empirical_sinr(system, profile, alloc, 300, seed=3,
                                       n_workers=2)
         assert np.geterr() == before
+
+
+class TestGeometryOutOfFloatRange:
+    @pytest.mark.parametrize("command", ["mmf", "pareto", "validate"])
+    @pytest.mark.parametrize("radii, field", [
+        ({"cell_radius_m": 1e200}, "scenario.cell_radius_m"),
+        ({"exclusion_radius_m": 1e-200, "cell_radius_m": 1e-100},
+         "scenario"),
+    ], ids=["squared-radius-overflows", "fading-underflows"])
+    def test_seeded_drop_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                  command, radii, field):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["scenario"].update(radii)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", field)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("distance", [1e-150, 1e150])
+    def test_explicit_distances_exit_2_naming_scenario(self, tmp_path,
+                                                       capsys, distance):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        del raw["scenario"]["seed"]
+        raw["scenario"].update(
+            exclusion_radius_m=1e-200, cell_radius_m=1e200,
+            unicast_distances=[distance, 1.0],
+            multicast_distances=[[1.0, 2.0]])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["mmf", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", "scenario")
+        assert "fading" in err["message"]
+
+
+HUGE_INTEGER = "1" + "0" * 400  # a JSON integer past the float range
+
+
+class TestIntegersPastTheFloatRange:
+    @pytest.mark.parametrize("command", ["mmf", "validate"])
+    @pytest.mark.parametrize("key, value", [
+        ("total_dl_power", 12345),
+        ("unicast_energy_budgets", 12345),
+        ("multicast_energy_budgets", [[10.0, 12345]]),
+        ("unicast_weights", [1.0, 12345]),
+        ("cell_radius_m", 12345),
+        ("exclusion_radius_m", 12345),
+        ("pathloss_exponent", 12345),
+        ("attenuation_const", 12345),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, key,
+                                      value):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        del raw["scenario"]["physical"]
+        raw["scenario"].update(total_dl_power=5.0,
+                               unicast_energy_budgets=10.0,
+                               multicast_energy_budgets=10.0)
+        raw["scenario"][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw).replace("12345", HUGE_INTEGER))
+        out = tmp_path / "run"
+        assert main([command, "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", f"scenario.{key}")
+        assert "finite" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("unicast_distances", [100.0, 12345]),
+        ("multicast_distances", [[100.0, 12345]]),
+    ])
+    def test_distance_exits_2_naming_the_field(self, tmp_path, capsys, key,
+                                               value):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        del raw["scenario"]["seed"]
+        raw["scenario"].update(unicast_distances=[100.0, 200.0],
+                               multicast_distances=[[150.0, 400.0]])
+        raw["scenario"][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw).replace("12345", HUGE_INTEGER))
+        assert main(["mmf", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", f"scenario.{key}")
+        assert "finite" in err["message"]
+
+    def test_integers_in_the_float_range_still_pass(self):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["scenario"].update(cell_radius_m=1000, exclusion_radius_m=35)
+        del raw["scenario"]["physical"]
+        raw["scenario"].update(total_dl_power=10 ** 300,
+                               unicast_energy_budgets=10,
+                               multicast_energy_budgets=10)
+        cfg = load_config(raw)
+        assert cfg.total_dl_power == 1e300
