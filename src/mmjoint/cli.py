@@ -89,6 +89,12 @@ def _integer(low: int):
     return (lambda v: _is_number(v, int) and v >= low), f"an integer >= {low}"
 
 
+def _count(low: int):
+    """An integer from ``low`` that fits an index, and so a float."""
+    return ((lambda v: _is_number(v, int) and low <= v <= sys.maxsize),
+            f"an integer from {low} to {sys.maxsize}")
+
+
 def _list_of(kind, valid: str | None = None):
     test, each = kind  # every list in a valid config has an entry
     return (lambda v: isinstance(v, list) and v != [] and all(map(test, v)),
@@ -102,7 +108,7 @@ def _one_or_list(kind, valid: str | None = None):
 
 
 _REQUIRED = object()  # default of a field that must be given
-_COUNT = _integer(1)
+_COUNT = _count(1)
 _MAPPING = (lambda v: isinstance(v, dict)), "a mapping"
 _NUMBER = _is_number, "a number"
 
@@ -155,13 +161,14 @@ _FIELDS = {
         "bandwidth_hz", "noise_psd_dbm_per_hz", "dl_power_watts",
         "pilot_energy_joules")},
     "sweep": {
-        "n_points": (_integer(MIN_CONVEXITY_POINTS), 21),
+        "n_points": (_count(MIN_CONVEXITY_POINTS), 21),
         "antenna_counts": (  # a repeated count would repeat its rows
             (lambda v: _list_of(_COUNT)[0](v) and len(set(v)) == len(v),
-             "a nonempty list of distinct integers >= 1"), [50, 100, 200]),
+             "a nonempty list of distinct integers from 1 to "
+             f"{sys.maxsize}"), [50, 100, 200]),
     },
     "montecarlo": {
-        "n_realizations": (_integer(MIN_REALIZATIONS), 20000),
+        "n_realizations": (_count(MIN_REALIZATIONS), 20000),
         "seed": (_integer(0), 1),
         "n_workers": (_COUNT, usable_cpus),
         "unicast_power_fraction": (
@@ -776,11 +783,11 @@ def _overrides(args) -> dict:
     flags = vars(args)  # a command's namespace has only its own flags
     n, points, seed, p_un, p_mu = map(flags.get,
                                       ("n", "points", "seed", "p_un", "p_mu"))
-    if n is not None and n < 1:
-        raise ConfigError("--n", "antenna count must be a positive integer")
-    if points is not None and points < MIN_CONVEXITY_POINTS:
-        raise ConfigError("--points", "a sweep needs at least "
-                          f"{MIN_CONVEXITY_POINTS} points")
+    for flag, value, (test, valid) in (
+            ("--n", n, _COUNT),
+            ("--points", points, _count(MIN_CONVEXITY_POINTS))):
+        if value is not None and not test(value):
+            raise ConfigError(flag, f"{flag} must be {valid}")
     for flag, power in zip(_SPLIT_FLAGS, (p_un, p_mu)):
         if power is not None and not math.isfinite(power):
             raise ConfigError(flag, "a power must be a finite number")

@@ -8,23 +8,23 @@ quantity can be compared against its empirical counterpart.
 channels themselves; they are the reference that the draw is tested against.
 
 Sufficient statistics: precoder c is w_c = G_c y_c, with y_c the pilot
-observation of pilot c, whose N antennas have variance 1 + s_c.  Gaussian
-conditioning, the step that gives the MMSE estimate, writes user k on pilot
-c as h_k = a_k y_c + r_k with r_k ~ CN(0, sigma_k^2 I) independent of y_c.
-So the own coefficient is G_c (a_k ||y_c||^2 + ||y_c|| sigma_k z_k) with
-z_k ~ CN(0, 1).  A precoder c' of another pilot is independent of h_k, so
-given y_c' the power it delivers, |w_c'^H h_k|^2, is
-fading_k G_c'^2 ||y_c'||^2 Exp(1).  The draw keeps the own coefficient
-sampled, since the desired power and the self-interference are read from
-it, but takes each other power as its exact conditional mean
-fading_k G_c'^2 ||y_c'||^2: the Exp(1) factor only adds noise of known mean
-1 (conditional Monte Carlo, or Rao-Blackwellisation).  So the interference
-fields and their SEs estimate the same means as a full channel draw would,
-with the spread of ||y_c'||^2 alone; a wrong G_c, s_c, fading or closed form
-still moves them.  So a realization adds only per-user sums of its own
-coefficients' moments and per-pilot sums of ||y_c||^2 and ||y_c||^4; the
-(user, precoder) powers are formed from them once per call, not per
-realization or chunk.  No channel vector and no matmul is needed.
+observation of pilot c, whose N antennas have variance 1 + s_c, so
+X_c = ||y_c||^2 = (1 + s_c) Gamma(N, 1).  Gaussian conditioning, the step
+that gives the MMSE estimate, writes user k on pilot c as h_k = a_k y_c + r_k
+with r_k ~ CN(0, sigma_k^2 I) independent of y_c.  So the own coefficient is
+c_k = G_c (a_k X_c + sqrt(X_c) sigma_k z_k) with z_k ~ CN(0, 1): given X_c
+it is complex Gaussian with mean G_c a_k X_c and variance G_c^2 sigma_k^2
+X_c.  A precoder c' of another pilot is independent of h_k, so given y_c'
+the power it delivers, |w_c'^H h_k|^2, is fading_k G_c'^2 X_c' Exp(1).  The
+draw samples none of z_k or Exp(1): it takes each term as its exact
+conditional mean given the X_c, a polynomial in X_c (conditional Monte
+Carlo, or Rao-Blackwellisation; Asmussen and Glynn, Stochastic Simulation,
+2007, V.4).  So every field and its SE estimates the same mean as a full
+channel draw would, with the spread of the X_c alone; a wrong G_c, s_c,
+a_k, sigma_k, fading or closed form still moves them.  A realization adds
+only per-pilot sums of e^k, k = 1..4, with e = Gamma_c - N; every user's
+terms are formed from the totals once per call, not per realization or
+chunk.  No channel vector, no matmul and no per-user work is needed.
 
 Reproducibility contract: realizations are split into chunks of ``_CHUNK``
 at fixed starts 0, ``_CHUNK``, 2 ``_CHUNK``, ...; the chunk starting at
@@ -37,31 +37,28 @@ Parallel runs need independent streams per chunk, not one per realization
 generator per realization, so reports at a given seed differ from theirs
 in every realization but the first of each chunk.
 
-Draw layout of one realization: from its chunk's stream, first U + G
+Draw layout of one realization: from its chunk's stream, U + G
 ``standard_gamma(N)`` draws, one per pilot (the U unicast pilots, then the
-G group pilots), giving ||y_c||^2 = (1 + s_c) Gamma(N, 1); then U + sum K_g
-complex normals z_k, unicast users first, then the members of each group in
-order, real and imaginary parts alternating.  That is U + G + 2 (U + sum K_g)
-values, 2 070 on the default scenario.  This layout replaced a
-(U + sum K_g, U + G) block of exponentials between the two (and earlier the
-channel and pilot-noise normals, and SFC64 the PCG64 before them), so
-reports at a given seed differ from those of earlier versions.
+G group pilots): 30 values on the default scenario.  Earlier versions drew
+U + sum K_g complex normals z_k after them (2 070 values), and before that
+a (U + sum K_g, U + G) block of exponentials, and before that the channel
+and pilot-noise normals (and SFC64 the PCG64 before them), so reports at a
+given seed differ from those of earlier versions.
 
-Working set: a chunk of realizations keeps the per-pilot and per-user sums
-of its ``_Accumulator`` and forms the coefficients of ``_BATCH``
-realizations at a time in buffers that every batch overwrites; it holds no
-(users, U + G) array.  Finished chunks are folded into the running total in
-chunk order as they arrive.  At most two chunks per worker are in flight
-(submitted and not yet folded), so chunks that finish ahead of their turn
-cannot pile up with their sums.  By default one worker thread runs per CPU
-the process may use (``usable_cpus``).  A chunk builds its generator once;
-the random fills, most of a realization's time, run without the GIL, so
-the workers' chunks run side by side.  No step calls BLAS, so the BLAS
-thread count changes neither the result nor the speed.  A huge power
-overflows the squared entry powers (fading_k G_c^2)^2, which raises
-``FloatingPointError`` before any chunk starts, or the own coefficients'
-|c_k|^4 (the N-fold larger term), which raises it in a chunk and cancels
-the pending chunks.
+Working set: a chunk keeps the (4, U + G) sums of its ``_Accumulator`` and
+draws ``_BATCH`` realizations at a time into two (``_BATCH``, U + G)
+buffers that every block overwrites; it holds no per-user array.  Finished
+chunks are folded into the running total in chunk order as they arrive.  At
+most two chunks per worker are in flight (submitted and not yet folded), so
+chunks that finish ahead of their turn cannot pile up with their sums.  By
+default one worker thread runs per CPU the process may use
+(``usable_cpus``).  A chunk builds its generator once; the gamma fills, most
+of a chunk's time, run without the GIL.  No step calls BLAS, so the BLAS
+thread count changes neither the result nor the speed.  A chunk touches no
+power, so a huge power cannot overflow there; it overflows the squared
+entry powers (fading_k G_c^2)^2, which raises ``FloatingPointError`` before
+any chunk starts, or the squared own terms of ``_own_terms``, which raises
+it once the sums are folded.
 """
 
 from __future__ import annotations
@@ -80,8 +77,8 @@ from .closed_form import (RAISE_FP_ERRORS, EstimationStats, PowerAllocation,
 from .scenario import GroupLayout, Grouped, LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
-# realizations of a chunk whose own coefficients are formed together
-_BATCH = 16
+# realizations of a chunk whose pilot gammas one fill draws
+_BATCH = 64
 # chunks in flight per worker: enough to keep every worker busy while the
 # oldest chunk is folded
 _WINDOW_PER_WORKER = 2
@@ -236,8 +233,10 @@ class UserSinrBreakdown:
     The desired power is |E[h^H w]|^2; ``self_interference`` is the variance
     of the effective channel coefficient; the interference fields are mean
     received powers from the other precoders, grouped into the user's own
-    service and the other service, averaged from their means given the
-    pilot observations (see the module docstring).
+    service and the other service.  Each is averaged from its mean given the
+    pilot observations, a polynomial in their norms (see the module
+    docstring); the SEs of the desired power and the self-interference are
+    delta-method spreads over those norms.
     """
 
     service: str  # "unicast" or "multicast"
@@ -280,33 +279,21 @@ class MonteCarloReport:
 class _Accumulator:
     """Running sums of what the draw produces, merged in fixed order.
 
-    Per user k (unicast first, then every group's members), sums of the own
-    coefficient c_k's moments; per pilot c (the U unicast pilots, then the
-    G group pilots), sums of ||y_c||^2 and ||y_c||^4.  The power that
-    precoder c delivers to a user of another pilot has the conditional mean
-    fading_k G_c^2 ||y_c||^2, so ``_breakdowns`` forms every such mean and
-    its spread from the per-pilot sums.
+    Per pilot c (the U unicast pilots, then the G group pilots), row k - 1
+    of ``moment_sums`` sums e^k, k = 1..4, with e = Gamma_c - N the draw
+    less its known mean: ||y_c||^2 = (1 + s_c) Gamma_c, Gamma_c ~ Gamma(N, 1).
+    ``_breakdowns`` forms every own-coefficient and cross-precoder term from
+    the moments of ||y_c||^2 these give; the shift keeps its central moments
+    free of cancellation at any N.
     """
 
-    def __init__(self, n_users: int, n_pilots: int):
+    def __init__(self, n_pilots: int):
         self.n = 0
-        # own coefficients: sums of c, (Re c)^2, Re c Im c, |c|^2 c, |c|^2
-        # and |c|^4
-        self.sum_c = np.zeros(n_users, dtype=complex)
-        self.sum_re2_c = np.zeros(n_users)
-        self.sum_re_im_c = np.zeros(n_users)
-        self.sum_abs2_c = np.zeros(n_users, dtype=complex)
-        self.sum_abs2 = np.zeros(n_users)
-        self.sum_abs4 = np.zeros(n_users)
-        # pilot observations: sums of ||y_c||^2 and ||y_c||^4
-        self.sum_norm2 = np.zeros(n_pilots)
-        self.sum_norm4 = np.zeros(n_pilots)
+        self.moment_sums = np.zeros((4, n_pilots))
 
     def merge(self, other: "_Accumulator"):
         self.n += other.n
-        for name, val in vars(other).items():
-            if name != "n":
-                getattr(self, name).__iadd__(val)
+        self.moment_sums += other.moment_sums
         return self
 
 
@@ -373,46 +360,50 @@ class _Conditioning:
 
 @RAISE_FP_ERRORS  # per worker thread: errstate does not cross threads
 def _run_chunk(cond: _Conditioning, seed, indices):
-    n_users, n_pilots = len(cond.own_col), len(cond.one_plus_snr)
-    acc = _Accumulator(n_users, n_pilots)
+    acc = _Accumulator(len(cond.one_plus_snr))
     acc.n = len(indices)
-    half_spread = np.sqrt(0.5) * cond.own_spread
-    # overwritten by every batch of the chunk
-    gammas = np.empty((_BATCH, n_pilots))
-    normals = np.empty((_BATCH, n_users, 2))
-    # two (realization, user) arrays: ||y_c||^2 on each user's own pilot
-    # and the spread factor of z_k, then (Re c_k)^2 and (Im c_k)^2
-    work = np.empty((2, _BATCH, n_users))
+    # overwritten by every block of the chunk: e and e^2
+    e_block = np.empty((_BATCH, len(cond.one_plus_snr)))
+    sq_block = np.empty_like(e_block)
+    sums = acc.moment_sums
     # the chunk's realizations, in order, each in the layout of the module
-    # docstring, from one stream
+    # docstring, from one stream: the stream holds only gammas, so one fill
+    # of a block reads what per-realization calls would
     rng = _substream(seed, indices.start)
     for start in range(0, len(indices), _BATCH):
         rows = min(_BATCH, len(indices) - start)
-        for row in range(rows):
-            rng.standard_gamma(cond.n_antennas, out=gammas[row])
-            rng.standard_normal(out=normals[row])
-        # ||y_c||^2 per realization and pilot
-        norm2 = gammas[:rows] * cond.one_plus_snr
-        acc.sum_norm2 += norm2.sum(axis=0)
-        acc.sum_norm4 += np.square(norm2).sum(axis=0)
-        # w_c^H h_k = G_c (a_k ||y_c||^2 + ||y_c|| sigma_k z_k) on its own
-        # pilot, with z_k ~ CN(0, 1)
-        own_norm2, spread = work[:, :rows]
-        np.take(norm2, cond.own_col, axis=1, out=own_norm2)
-        np.sqrt(own_norm2, out=spread)
-        spread *= half_spread
-        c = normals[:rows].view(np.complex128)[..., 0]
-        c *= spread
-        c += np.multiply(own_norm2, cond.own_mean, out=own_norm2)
-        acc.sum_c += c.sum(axis=0)
-        re2 = np.square(c.real, out=own_norm2)
-        acc.sum_re2_c += re2.sum(axis=0)
-        acc.sum_re_im_c += np.einsum("ij,ij->j", c.real, c.imag)
-        abs2 = np.add(re2, np.square(c.imag, out=spread), out=re2)
-        acc.sum_abs2 += abs2.sum(axis=0)
-        acc.sum_abs4 += np.einsum("ij,ij->j", abs2, abs2)
-        acc.sum_abs2_c += np.einsum("ij,ij->j", abs2, c)
+        e, sq = e_block[:rows], sq_block[:rows]
+        rng.standard_gamma(cond.n_antennas, out=e)
+        e -= cond.n_antennas
+        np.square(e, out=sq)
+        sums[0] += e.sum(axis=0)
+        sums[1] += sq.sum(axis=0)
+        sums[2] += np.einsum("ij,ij->j", sq, e)
+        sums[3] += np.einsum("ij,ij->j", sq, sq)
     return acc
+
+
+def _own_terms(mean, spread, x1, x2, x3, x4, n: int):
+    """The desired power and the self-interference of own coefficients
+    c = mean X + spread sqrt(X) z, z ~ CN(0, 1), with their SEs, from the
+    mean x1 and the central moments x2, x3, x4 of X over n realizations.
+
+    Given X, c is complex Gaussian with E[c | X] = mean X and
+    E[|c|^2 | X] = mean^2 X^2 + spread^2 X, so |E c|^2 is estimated by
+    (mean x1)^2 and Var c by mean^2 x2 + spread^2 x1 (conditional Monte
+    Carlo): no z is drawn.
+    """
+    mean_sq, spread_sq = mean * mean, spread * spread
+    desired = mean_sq * x1 * x1
+    # delta-method SE of (mean x1)^2 plus the bias of the squared mean
+    desired_se = 2.0 * mean_sq * x1 * np.sqrt(x2 / n) + mean_sq * x2 / n
+    var_c = mean_sq * x2 + spread_sq * x1
+    # delta method for var_c: realization i moves it by
+    # phi = mean^2 D^2 + spread^2 D over n, D = X - x1, so its SE is the
+    # spread of phi
+    var_phi = (mean_sq**2 * np.maximum(0.0, x4 - x2 * x2)
+               + 2.0 * mean_sq * spread_sq * x3 + spread_sq**2 * x2)
+    return desired, desired_se, var_c, np.sqrt(np.maximum(0.0, var_phi) / n)
 
 
 def _breakdowns(config, profile, alloc, stats, cond, acc):
@@ -428,26 +419,18 @@ def _breakdowns(config, profile, alloc, stats, cond, acc):
     p_un = alloc.unicast_power
     p_mu = alloc.multicast_power
 
-    mean_abs2 = acc.sum_abs2 / n
-    mean_c = acc.sum_c / n
-    desired = np.abs(mean_c) ** 2
-    var_c = np.maximum(0.0, mean_abs2 - desired)
-    # delta-method SE of |mean|^2 plus the usual SE for mean powers
-    var_re = np.maximum(0.0, acc.sum_re2_c / n - mean_c.real**2)
-    desired_se = 2.0 * np.abs(mean_c) * np.sqrt(var_re / n) + var_c / n
-    # delta method for var_c: realization i moves it by
-    # phi = |c|^2 - 2 Re(conj(mean_c) c) over n, up to a constant, so its SE
-    # is the spread of phi; the sum of Re(conj(mean_c) c)^2 from those of
-    # (Re c)^2, (Im c)^2 and Re c Im c
-    m_re, m_im = mean_c.real, mean_c.imag
-    sum_im2 = acc.sum_abs2 - acc.sum_re2_c
-    sum_proj2 = (m_re**2 * acc.sum_re2_c + m_im**2 * sum_im2
-                 + 2.0 * m_re * m_im * acc.sum_re_im_c)
-    mean_phi2 = (acc.sum_abs4
-                 - 4.0 * (np.conj(mean_c) * acc.sum_abs2_c).real
-                 + 4.0 * sum_proj2) / n
-    var_phi = np.maximum(0.0, mean_phi2 - (mean_abs2 - 2.0 * desired)**2)
-    self_se = np.sqrt(var_phi / n)
+    # ||y_c||^2 = (1 + s_c) Gamma_c: its mean m1 and central moments mu2,
+    # mu3, mu4, from the sums of e = Gamma_c - N
+    d, r2, r3, r4 = acc.moment_sums / n
+    scale = cond.one_plus_snr
+    m1 = scale * (cond.n_antennas + d)
+    mu2 = scale**2 * np.maximum(0.0, r2 - d * d)
+    mu3 = scale**3 * (r3 - 3.0 * d * r2 + 2.0 * d**3)
+    mu4 = scale**4 * (r4 - 4.0 * d * r3 + 6.0 * d * d * r2 - 3.0 * d**4)
+
+    desired, desired_se, var_c, self_se = _own_terms(
+        cond.own_mean, cond.own_spread,
+        *(m[cond.own_col] for m in (m1, mu2, mu3, mu4)), n)
 
     # same service: the other precoders of the user's own service (its own
     # column enters through the desired power and var_c, and var_c counts
@@ -455,10 +438,8 @@ def _breakdowns(config, profile, alloc, stats, cond, acc):
     # service's precoders.  |w_c^H h_k|^2 for a pilot c that user k does not
     # use is, given y_c, fading_k G_c^2 ||y_c||^2 Exp(1): its conditional
     # mean drops the Exp(1), and its spread is that of ||y_c||^2
-    mean_norm2 = acc.sum_norm2 / n
-    mean_cross = cond.entry_power * mean_norm2
-    var_cross = cond.entry_power_sq * np.maximum(
-        0.0, acc.sum_norm4 / n - mean_norm2**2)
+    mean_cross = cond.entry_power * m1
+    var_cross = cond.entry_power_sq * mu2
     is_unicast = cond.own_col < U
     cols = np.arange(config.n_pilots)
     same_block = is_unicast[:, None] == (cols < U)
@@ -527,9 +508,9 @@ def empirical_sinr(
 
     Results are bit-identical for fixed (seed, n_realizations) regardless of
     ``n_workers``, which defaults to ``usable_cpus()``.  Raises
-    ``FloatingPointError`` where a value overflows (a huge power), in a
-    chunk, the fold of the sums or the breakdowns; the pending chunks are
-    then cancelled.
+    ``FloatingPointError`` where a value overflows (a huge power): in the
+    squared entry powers, before any chunk starts, or in the breakdowns,
+    after every chunk has run.
     """
     if n_realizations < MIN_REALIZATIONS:
         raise ValueError(f"n_realizations must be at least {MIN_REALIZATIONS}")

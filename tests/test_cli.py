@@ -1069,3 +1069,32 @@ class TestIntegersPastTheFloatRange:
                                multicast_energy_budgets=10)
         cfg = load_config(raw)
         assert cfg.total_dl_power == 1e300
+
+    # counts checked before anything is allocated: 10^30 is past the index
+    # range, 10^400 past the float range too
+    @pytest.mark.parametrize("block, key, value", [
+        ("scenario", "n_antennas", 10**400),
+        ("sweep", "antenna_counts", [10**400]),
+        ("scenario", "n_unicast", 10**30),
+        ("scenario", "group_sizes", [10**30]),
+    ])
+    def test_count_past_the_index_range_exits_2(self, tmp_path, capsys,
+                                                block, key, value):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw.setdefault(block, {})[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        assert main(["mmf", "--config", str(path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", f"{block}.{key}")
+        assert not out.exists()
+
+    def test_antenna_override_past_the_index_range_exits_2(
+            self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["mmf", "--config", config_path, "--out", str(out),
+                     "--n", str(10**400)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["field"]) == ("config", "--n")
+        assert not out.exists()

@@ -439,10 +439,10 @@ class TestSubstream:
 
 
 def _draw_reference(config, profile, alloc, stats, rng):
-    """One realization's own coefficients, per-(user, pilot) powers (the
-    other pilots' powers as their means given the pilot observations) and
-    per-pilot ||y_c||^2, with one loop per pilot and user, reading the
-    documented draw layout from ``rng``."""
+    """One realization, with one loop per pilot and user, reading the
+    documented draw layout from ``rng``: per pilot, e = Gamma_c - N; per
+    user, the mean of the own coefficient given the pilot observations and,
+    per (user, pilot), the mean received power given them."""
     N, U, tau = config.n_antennas, config.n_unicast, alloc.tau
     snr, gain = [], []
     for p, beta, p_dl, var in zip(alloc.p_up, profile.beta, alloc.p_dl,
@@ -459,21 +459,47 @@ def _draw_reference(config, profile, alloc, stats, rng):
         gain.append(mrt * snr[-1] / (1.0 + snr[-1]))
         users += [(U + j, tau * q_k, eta_k) for q_k, eta_k in zip(q, eta)]
 
-    norm2 = [(1.0 + s) * x
-             for s, x in zip(snr, rng.standard_gamma(N, len(snr)))]
-    normals = rng.standard_normal((len(users), 2))
-    coeff = np.zeros(len(users), dtype=complex)
+    gammas = rng.standard_gamma(N, len(snr))
+    norm2 = [(1.0 + s) * x for s, x in zip(snr, gammas)]
+    mean_c = np.zeros(len(users))
     power = np.zeros((len(users), len(snr)))
     for k, (own, pilot, fade) in enumerate(users):
+        # c_k = G_c (a_k ||y_c||^2 + ||y_c|| sigma_k z_k), z_k ~ CN(0, 1)
         a = math.sqrt(pilot) * fade / (1.0 + snr[own])
         sigma = math.sqrt(max(0.0, fade - a * a * (1.0 + snr[own])))
-        z = complex(*normals[k]) / math.sqrt(2.0)
-        coeff[k] = gain[own] * (a * norm2[own]
-                                + math.sqrt(norm2[own]) * sigma * z)
+        mean_c[k] = gain[own] * a * norm2[own]
         for c in range(len(snr)):
-            power[k, c] = abs(coeff[k]) ** 2 if c == own \
-                else fade * gain[c] ** 2 * norm2[c]
-    return coeff, power, np.array(norm2)
+            power[k, c] = mean_c[k] ** 2 + (gain[own] * sigma) ** 2 \
+                * norm2[own] if c == own else fade * gain[c] ** 2 * norm2[c]
+    return gammas - N, mean_c, power
+
+
+def _chunk_means(cond, acc):
+    """What a chunk's sums stand for: the mean own coefficient mu m1, and
+    the per-(user, pilot) mean powers, mu^2 (mu2 + m1^2) + spread^2 m1 on
+    the user's own pilot and entry_power m1 on the others, with m1 the
+    mean and mu2 the central second moment of ||y_c||^2.  Each comes with
+    the variance of one realization's term."""
+    n, scale = acc.n, cond.one_plus_snr
+    d, r2, r3, r4 = acc.moment_sums / n
+    # central moments of e = Gamma_c - N
+    c2 = r2 - d * d
+    c3 = r3 - 3.0 * d * r2 + 2.0 * d**3
+    c4 = r4 - 4.0 * d * r3 + 6.0 * d * d * r2 - 3.0 * d**4
+    m1 = scale * (cond.n_antennas + d)
+    users, own = np.arange(len(cond.own_col)), cond.own_col
+    mu, spread = cond.own_mean, cond.own_spread
+    power = cond.entry_power * m1
+    power_var = cond.entry_power**2 * scale**2 * c2
+    power[users, own] = mu**2 * (scale[own]**2 * c2[own] + m1[own]**2) \
+        + spread**2 * m1[own]
+    # mu^2 X^2 + spread^2 X = const + B D + C D^2 with D = e - d
+    B = (2.0 * mu**2 * m1[own] + spread**2) * scale[own]
+    C = (mu * scale[own])**2
+    power_var[users, own] = B**2 * c2[own] + 2.0 * B * C * c3[own] \
+        + C**2 * (c4[own] - c2[own]**2)
+    return (mu * m1[own], (mu * scale[own])**2 * c2[own], power,
+            power_var)
 
 
 def _full_channel_chunk(scenario, seed, n):
@@ -528,23 +554,22 @@ class TestSufficientDraw:
             np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=0)
 
         for i in range(3):
-            coeff, power, norm2 = _draw_reference(
+            e, mean_c, power = _draw_reference(
                 config, profile, alloc, stats,
                 np.random.Generator(np.random.SFC64(
                     np.random.SeedSequence(seed, spawn_key=(i,)))))
             acc = montecarlo._run_chunk(cond, seed, range(i, i + 1))
-            same(acc.sum_c, coeff)
-            same(acc.sum_norm2, norm2)
-            same(acc.sum_re2_c, coeff.real**2)
-            # |c_k|^2 (sum_abs2) on the own pilot, the conditional mean power
-            # (entry_power sum_norm2) off it, and their squares
-            power_sum, power_sq_sum = _power_sums(cond, acc)
-            same(power_sum, power)
-            same(power_sq_sum, power**2)
+            assert acc.n == 1
+            same(acc.moment_sums, [e, e**2, e**3, e**4])
+            # E[c | y] on the own pilot; E[|c|^2 | y] on it and the mean
+            # power given y off it
+            chunk_c, _, chunk_power, _ = _chunk_means(cond, acc)
+            same(chunk_c, mean_c)
+            same(chunk_power, power)
             # the zero downlink power gives a zero column, the zero pilot
-            # power a coefficient of mean 0 but not 0
-            assert np.all(power_sum[:, 1] == 0.0)
-            assert coeff[2 + 4] != 0.0
+            # power a coefficient of mean 0 but of nonzero power
+            assert np.all(chunk_power[:, 1] == 0.0)
+            assert chunk_c[2 + 4] == 0.0 and chunk_power[2 + 4, 2 + 2] > 0.0
 
     def test_agrees_with_the_full_channel_simulator(self, three_groups):
         # two-sample z of every per-(user, pilot) mean power and of the real
@@ -555,21 +580,21 @@ class TestSufficientDraw:
         stats = EstimationStats.from_allocation(alloc, profile)
         cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
         acc = montecarlo._run_chunk(cond, 41, range(n))
-        new = (acc.sum_c, acc.sum_re2_c, *_power_sums(cond, acc))
-        full = _full_channel_chunk(three_groups, 43, n)
+        mean_c, var_c, power, var_power = _chunk_means(cond, acc)
+        m1 = np.concatenate([power.ravel(), mean_c, np.zeros_like(mean_c)])
+        v1 = np.concatenate([var_power.ravel(), var_c,
+                             np.zeros_like(var_c)]) / n
+
+        sum_c, sum_re2_c, sum_power, sum_power_sq = _full_channel_chunk(
+            three_groups, 43, n)
         users = np.arange(len(cond.own_col))
+        re2 = sum_re2_c / n
+        im2 = sum_power[users, cond.own_col] / n - re2
+        m2 = np.concatenate([(sum_power / n).ravel(), sum_c.real / n,
+                             sum_c.imag / n])
+        second = np.concatenate([(sum_power_sq / n).ravel(), re2, im2])
+        v2 = np.maximum(0.0, second - m2**2) / n
 
-        def moments(sum_c, sum_re2_c, sum_power, sum_power_sq):
-            mean_c = sum_c / n
-            re2 = sum_re2_c / n
-            im2 = sum_power[users, cond.own_col] / n - re2
-            mean_power = sum_power / n
-            means = np.concatenate([mean_power.ravel(), mean_c.real,
-                                    mean_c.imag])
-            second = np.concatenate([(sum_power_sq / n).ravel(), re2, im2])
-            return means, np.maximum(0.0, second - means**2) / n
-
-        (m1, v1), (m2, v2) = moments(*new), moments(*full)
         spread = np.sqrt(v1 + v2)
         zero = spread == 0.0
         assert np.all(m1[zero] == 0.0) and np.all(m2[zero] == 0.0)
@@ -581,34 +606,51 @@ class TestSufficientDraw:
 
     def test_chunk_reads_its_realizations_from_one_stream(self,
                                                           three_groups):
-        # 17 realizations: a full batch and a partial one, read in order
-        # from the generator of the chunk's start
+        # a full block and a partial one, read in order from the generator
+        # of the chunk's start
         config, profile, alloc = three_groups
         stats = EstimationStats.from_allocation(alloc, profile)
         cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
-        indices = range(3, 20)
-        assert montecarlo._BATCH < len(indices)
-        assert len(indices) % montecarlo._BATCH != 0
+        indices = range(3, 3 + montecarlo._BATCH + 17)
         chunk = montecarlo._run_chunk(cond, 47, indices)
         rng = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(47, spawn_key=(3,))))
-        reference = {}
-        for _ in indices:
-            coeff, _, norm2 = _draw_reference(config, profile, alloc, stats,
-                                              rng)
-            abs2 = np.abs(coeff)**2
-            terms = dict(
-                sum_c=coeff, sum_re2_c=coeff.real**2,
-                sum_re_im_c=coeff.real * coeff.imag, sum_abs2_c=abs2 * coeff,
-                sum_abs2=abs2, sum_abs4=abs2**2, sum_norm2=norm2,
-                sum_norm4=norm2**2)
-            for name, value in terms.items():
-                reference[name] = reference.get(name, 0.0) + value
+        powers = np.array([
+            _draw_reference(config, profile, alloc, stats, rng)[0]
+            for _ in indices])[None] ** np.arange(1, 5)[:, None, None]
         assert chunk.n == len(indices)
-        assert set(vars(chunk)) == {"n", *reference}
-        for name, value in reference.items():
-            np.testing.assert_allclose(getattr(chunk, name), value,
-                                       rtol=1e-12, atol=0, err_msg=name)
+        assert set(vars(chunk)) == {"n", "moment_sums"}
+        # the sums of e^k cancel: bound the rounding by the sums of |e|^k
+        for k, power in enumerate(powers, 1):
+            np.testing.assert_allclose(
+                chunk.moment_sums[k - 1], power.sum(axis=0), rtol=0,
+                atol=1e-12 * np.abs(power).sum(axis=0).max(),
+                err_msg=f"e^{k}")
+
+    def test_report_reads_the_moments_of_the_drawn_norms(self,
+                                                         three_groups):
+        # one chunk: its own terms are _own_terms of the sample mean and
+        # central moments of the drawn ||y_c||^2, formed here directly
+        n, seed = montecarlo.MIN_REALIZATIONS, 48
+        config, profile, alloc = three_groups
+        stats = EstimationStats.from_allocation(alloc, profile)
+        cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
+        report = empirical_sinr(*three_groups, n, seed=seed, n_workers=1)
+        rng = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(0,))))
+        x = cond.one_plus_snr * rng.standard_gamma(
+            config.n_antennas, (n, config.n_pilots))
+        m1 = x.mean(axis=0)
+        moments = [m1] + [np.mean((x - m1)**k, axis=0) for k in (2, 3, 4)]
+        expected = montecarlo._own_terms(
+            cond.own_mean, cond.own_spread,
+            *(m[cond.own_col] for m in moments), n)
+        users = report.unicast + report.multicast
+        for name, values in zip(("desired_power", "desired_power_se",
+                                 "self_interference", "self_interference_se"),
+                                expected):
+            np.testing.assert_allclose([getattr(u, name) for u in users],
+                                       values, rtol=1e-9, err_msg=name)
 
     def test_chunk_working_set_does_not_grow_with_its_length(self):
         # 208 users on 12 pilots
@@ -669,18 +711,22 @@ SMALL_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                             "small.json")
 
 
-@pytest.fixture
-def small_config():
+def _small_scenario(n_antennas=None):
     """configs/small.json at its Monte Carlo split, with both optimal
     allocations."""
     cfg = load_config_file(SMALL_CONFIG)
-    system = cfg.system()
+    system = cfg.system(n_antennas)
     p_un = cfg.montecarlo["unicast_power_fraction"] * cfg.total_dl_power
     mmf = solve_mmf(system, cfg.profile, p_un)
     wsse = solve_wsse(system, cfg.profile, cfg.total_dl_power - p_un)
     alloc = PowerAllocation(p_dl=wsse.p_dl, q_dl=mmf.q_dl, p_up=wsse.p_up,
                             q_up=mmf.q_up, tau=system.n_pilots)
     return system, cfg.profile, alloc
+
+
+@pytest.fixture
+def small_config():
+    return _small_scenario()
 
 
 class TestAnalyticFieldsMatchClosedForm:
@@ -775,3 +821,77 @@ class TestConditionalMeanCalibration:
                       for u in report.unicast + report.multicast])
         spread = np.std(z, axis=0, ddof=1)
         assert np.all((spread >= 0.8) & (spread <= 1.2)), spread
+
+    @pytest.mark.parametrize("n_antennas", [10**4, 10**8])
+    def test_own_and_desired_z_scores_at_large_n(self, n_antennas):
+        # ||y_c||^2 grows with N while its spread grows with sqrt(N): moment
+        # sums of ||y_c||^2 itself cancel, and the own-term SE then reads 0
+        # or its z-scores spread thousands of times too wide
+        config, profile, alloc = _small_scenario(n_antennas)
+        z = []
+        for seed in range(100):
+            report = empirical_sinr(config, profile, alloc, 200, seed=seed,
+                                    n_workers=1)
+            users = report.unicast + report.multicast
+            z.append([[(u.desired_power - u.desired_power_analytic)
+                       / u.desired_power_se for u in users],
+                      [(u.self_interference + u.same_service_interference
+                        - u.same_service_analytic)
+                       / math.hypot(u.self_interference_se,
+                                    u.same_service_interference_se)
+                       for u in users]])
+        spread = np.std(z, axis=0, ddof=1)
+        assert np.all((spread >= 0.8) & (spread <= 1.2)), spread
+
+
+def _within_5_se(samples, expected):
+    """The sample mean of ``samples`` lies within 5 SE of ``expected``."""
+    se = np.std(samples) / math.sqrt(len(samples))
+    assert abs(np.mean(samples) - expected) <= 5 * se, \
+        (np.mean(samples), expected, se)
+
+
+class TestOwnTerms:
+    """The closed forms of ``_own_terms`` against drawn own coefficients
+    c = mean X + spread sqrt(X) z, z ~ CN(0, 1)."""
+
+    n = 10**6
+
+    def _coefficients(self, rng, mean, spread, x):
+        z = rng.standard_normal((len(x), 2)).view(np.complex128)[:, 0]
+        return mean * x + spread * np.sqrt(x) * z / math.sqrt(2.0)
+
+    @pytest.mark.parametrize("x", [3.5, 16.0, 250.0])
+    @pytest.mark.parametrize("mean, spread", [(0.3, 1.2), (2.0, 0.05),
+                                              (0.0, 0.7)])
+    def test_moments_given_x(self, x, mean, spread):
+        # given X, E[c] = mean X and E|c|^2 = desired + var_c
+        c = self._coefficients(np.random.default_rng(61), mean, spread,
+                               np.full(self.n, x))
+        desired, _, var_c, _ = montecarlo._own_terms(mean, spread, x, 0.0,
+                                                     0.0, 0.0, self.n)
+        _within_5_se(c.real, math.sqrt(desired))
+        _within_5_se(c.imag, 0.0)
+        _within_5_se(np.abs(c)**2, desired + var_c)
+
+    @pytest.mark.parametrize("n_antennas, scale", [(16, 4.0), (1000, 1.5)])
+    @pytest.mark.parametrize("mean, spread", [(0.3, 1.2), (2.0, 0.05)])
+    def test_moments_over_the_gamma_law(self, n_antennas, scale, mean,
+                                        spread):
+        # X = scale Gamma(N, 1): mean scale N and central moments
+        # scale^2 N, 2 scale^3 N and scale^4 (3 N^2 + 6 N)
+        rng = np.random.default_rng(62)
+        x = scale * rng.standard_gamma(n_antennas, self.n)
+        c = self._coefficients(rng, mean, spread, x)
+        moments = (scale * n_antennas, scale**2 * n_antennas,
+                   2 * scale**3 * n_antennas,
+                   scale**4 * (3 * n_antennas**2 + 6 * n_antennas))
+        desired, _, var_c, self_se = montecarlo._own_terms(
+            mean, spread, *moments, self.n)
+        _within_5_se(c.real, math.sqrt(desired))
+        _within_5_se(np.abs(c)**2, desired + var_c)
+        # the influence phi = mean^2 D^2 + spread^2 D, D = X - E X, of one
+        # realization on var_c has the variance n self_se^2
+        d = x - moments[0]
+        phi = mean**2 * d**2 + spread**2 * d
+        _within_5_se((phi - phi.mean())**2, self.n * self_se**2)
