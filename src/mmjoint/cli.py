@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import json
 import math
@@ -476,6 +477,24 @@ def emit_plotdata(
 _BLOCK = 64  # list entries encoded and written at a time
 
 
+class Table:
+    """Rows held as columns: ``columns`` maps each key to a list of one
+    value per row, all of one length.  The JSON writer writes a table as
+    the list of its rows' dicts without building them; a table with no
+    column has no row."""
+
+    def __init__(self, columns: dict):
+        if len(set(map(len, columns.values()))) > 1:
+            raise ValueError("table columns differ in length")
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def __getitem__(self, rows: slice) -> Table:
+        return Table({k: v[rows] for k, v in self.columns.items()})
+
+
 def _scalar_text(o) -> str | None:
     """The JSON text of a string, number, bool or None; None for any other
     object."""
@@ -509,10 +528,11 @@ def _column_texts(values, level: int):
     """The JSON texts of ``values``, each at nesting depth ``level``.
 
     A column of one plain scalar type is encoded in one call.  A column of
-    dicts with one set of string keys, or of lists or tuples of one length
-    shorter than the column, is split into the columns of its entries, and
-    each text is one ``format`` of a template that holds the indentation and
-    the key texts.  Any other column is encoded one value at a time.
+    dicts with one set of string keys is split into a ``Table``, and one of
+    lists or tuples of one length shorter than the column into the columns
+    of its entries; each text is then one ``format`` of a template that
+    holds the indentation (and the key texts).  Any other column is encoded
+    one value at a time.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
@@ -527,16 +547,24 @@ def _column_texts(values, level: int):
         keys = values[0].keys()
         if (keys and all(type(k) is str for k in keys)
                 and all(map(keys.__eq__, map(dict.keys, values)))):
-            keys = sorted(keys)
-            heads = [_key_text(k).replace("{", "{{").replace("}", "}}")
-                     + ": " for k in keys]
-            columns = [list(map(itemgetter(k), values)) for k in keys]
-            return _formatted("{{", heads, "}}", columns, level)
+            return _row_texts(Table({k: list(map(itemgetter(k), values))
+                                     for k in keys}), level)
     elif kinds <= {list, tuple} and len(set(map(len, values))) == 1:
         if 0 < len(values[0]) < len(values):  # fewer columns than rows
             columns = list(map(list, zip(*values)))
             return _formatted("[", [""] * len(columns), "]", columns, level)
     return ["".join(_json_text(v, level)) for v in values]
+
+
+def _row_texts(table: Table, level: int):
+    """The JSON texts of the rows of ``table``, each at depth ``level``:
+    one ``format`` per row of a template that holds the indentation and the
+    key texts, its entries encoded column by column."""
+    keys = sorted(table.columns)
+    heads = [_key_text(k).replace("{", "{{").replace("}", "}}") + ": "
+             for k in keys]
+    return _formatted("{{", heads, "}}", [table.columns[k] for k in keys],
+                      level)
 
 
 def _formatted(opening: str, heads: list, closing: str, columns: list,
@@ -552,8 +580,9 @@ def _formatted(opening: str, heads: list, closing: str, columns: list,
 
 def _json_text(o, level: int = 0):
     """Yield the text of ``o`` at nesting depth ``level`` as
-    ``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)`` writes it;
-    a list goes ``_BLOCK`` entries at a time."""
+    ``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)`` writes it,
+    a ``Table`` as the list of its rows' dicts; a list or a table goes
+    ``_BLOCK`` entries at a time."""
     text = _scalar_text(o)
     if text is not None:
         yield text
@@ -567,13 +596,14 @@ def _json_text(o, level: int = 0):
             yield from _json_text(o[key], level + 1)
             opening = "," + inner
         yield closing + "}" if o else "{}"
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, (list, tuple, Table)):
+        texts = _row_texts if isinstance(o, Table) else _column_texts
         opening = "[" + inner
         for start in range(0, len(o), _BLOCK):
             yield opening + ("," + inner).join(
-                _column_texts(o[start:start + _BLOCK], level + 1))
+                texts(o[start:start + _BLOCK], level + 1))
             opening = "," + inner
-        yield closing + "]" if o else "[]"
+        yield closing + "]" if len(o) else "[]"
     else:
         raise TypeError(
             f"Object of type {type(o).__name__} is not JSON serializable")
@@ -582,10 +612,12 @@ def _json_text(o, level: int = 0):
 def _write_json(path: Path, payload: dict):
     """Write ``payload`` as the bytes of ``json.dumps(payload, indent=2,
     sort_keys=True, allow_nan=False)`` and a newline, streamed into the
-    file.  A list is encoded a block of entries at a time, and a block of
-    same-key dicts column by column.  NaN or infinity raises ``ConfigError``
-    naming ``scenario``, and an object that is not JSON ``TypeError``;
-    either way ``path`` keeps what it held."""
+    file, with each ``Table`` written as the list of its rows' dicts.  A
+    list or a table is encoded a block of entries at a time, and a block of
+    same-key dicts is split into a table and encoded column by column.  NaN
+    or infinity raises ``ConfigError`` naming ``scenario``, and an object
+    that is not JSON ``TypeError``; either way ``path`` keeps what it
+    held."""
     _write_atomic(path, itertools.chain(_json_text(payload), ["\n"]))
 
 
@@ -670,9 +702,12 @@ def _cmd_validate(cfg, args, out_dir: Path) -> int:
         system, cfg.profile, alloc, n_realizations=mc["n_realizations"],
         seed=mc["seed"], n_workers=mc["n_workers"],
     )
-    _write_json(out_dir / "montecarlo_report.json",
-                {"provenance": cfg.provenance(), "p_un": p_un, "p_mu": p_mu,
-                 "report": report.to_dict()})
+    _write_json(out_dir / "montecarlo_report.json", {
+        "provenance": cfg.provenance(), "p_un": p_un, "p_mu": p_mu,
+        "report": {"n_realizations": report.n_realizations,
+                   "seed": report.seed,
+                   **{service: Table(columns)
+                      for service, columns in report.columns.items()}}})
     return 0
 
 
@@ -755,7 +790,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="mmjoint",
         description="Joint unicast / multigroup-multicast massive MIMO "

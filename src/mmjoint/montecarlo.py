@@ -50,8 +50,10 @@ draws ``_BATCH`` realizations at a time into two (``_BATCH``, U + G)
 buffers that every block overwrites; it holds no per-user array.  Finished
 chunks are folded into the running total in chunk order as they arrive.  At
 most two chunks per worker are in flight (submitted and not yet folded), so
-chunks that finish ahead of their turn cannot pile up with their sums.  By
-default one worker thread runs per CPU the process may use
+chunks that finish ahead of their turn cannot pile up with their sums.  The
+report holds each per-user field as two lists, the unicast and multicast
+slices of one array; no ``UserSinrBreakdown`` is built until its rows are
+read.  By default one worker thread runs per CPU the process may use
 (``usable_cpus``).  A chunk builds its generator once; the gamma fills, most
 of a chunk's time, run without the GIL.  No step calls BLAS, so the BLAS
 thread count changes neither the result nor the speed.  A chunk touches no
@@ -264,16 +266,37 @@ class UserSinrBreakdown:
 
 @dataclass
 class MonteCarloReport:
+    """Every user's ``UserSinrBreakdown`` fields, kept as columns.
+
+    ``columns`` maps each service, "unicast" and "multicast", to its table:
+    each field name of ``UserSinrBreakdown`` to a list of one value per user
+    of that service, in user order.  The rows ``unicast`` and ``multicast``
+    are built from the columns the first time they are read, then cached.
+    """
+
     n_realizations: int
     seed: int
-    unicast: list
-    multicast: list
+    columns: dict
+
+    def _row_dicts(self, service: str) -> list:
+        table = self.columns[service]
+        return [dict(zip(table, values)) for values in zip(*table.values())]
+
+    @functools.cached_property
+    def unicast(self) -> list:
+        return [UserSinrBreakdown(**row) for row in self._row_dicts("unicast")]
+
+    @functools.cached_property
+    def multicast(self) -> list:
+        return [UserSinrBreakdown(**row)
+                for row in self._row_dicts("multicast")]
 
     def to_dict(self) -> dict:
-        """``dataclasses.asdict`` of the report, built row by row."""
+        """The report with each service as the list of its rows'
+        ``dataclasses.asdict``, built from the columns."""
         return {"n_realizations": self.n_realizations, "seed": self.seed,
-                "unicast": [dict(vars(row)) for row in self.unicast],
-                "multicast": [dict(vars(row)) for row in self.multicast]}
+                "unicast": self._row_dicts("unicast"),
+                "multicast": self._row_dicts("multicast")}
 
 
 class _Accumulator:
@@ -407,10 +430,12 @@ def _own_terms(mean, spread, x1, x2, x3, x4, n: int):
 
 
 def _breakdowns(config, profile, alloc, stats, cond, acc):
-    """Turn the accumulated sums into per-user empirical/analytic reports.
+    """Turn the accumulated sums into per-user empirical/analytic terms:
+    ``MonteCarloReport.columns``, the fields of ``UserSinrBreakdown`` per
+    service.
 
     Every array has one entry per user, unicast users first, then the group
-    members in member order.
+    members in member order; each column is a slice of one of them.
     """
     n = acc.n
     U = config.n_unicast
@@ -466,16 +491,14 @@ def _breakdowns(config, profile, alloc, stats, cond, acc):
         sinr_analytic=mrt_sinr(config.n_antennas, dl_power, variance, fade,
                                p_un + p_mu),
     )
-    services = ["unicast"] * U + ["multicast"] * config.n_multicast
     member = np.arange(config.n_multicast) - layout.starts[group]
-    indices = list(zip(range(U))) + list(zip(group.tolist(), member.tolist()))
-    rows = [
-        UserSinrBreakdown(service=service, index=index,
-                          **dict(zip(fields, values)))
-        for service, index, *values in zip(
-            services, indices, *(x.tolist() for x in fields.values()))
-    ]
-    return rows[:U], rows[U:]
+    unicast = {"service": ["unicast"] * U, "index": list(zip(range(U)))}
+    multicast = {"service": ["multicast"] * config.n_multicast,
+                 "index": list(zip(group.tolist(), member.tolist()))}
+    for name, x in fields.items():
+        unicast[name] = x[:U].tolist()
+        multicast[name] = x[U:].tolist()
+    return {"unicast": unicast, "multicast": multicast}
 
 
 def _in_order(pool, fn, items, window: int):
@@ -532,9 +555,6 @@ def empirical_sinr(
         for acc in finished:
             total = acc if total is None else total.merge(acc)
 
-    unicast, multicast = _breakdowns(config, profile, alloc, stats, cond,
-                                     total)
     return MonteCarloReport(
-        n_realizations=n_realizations, seed=seed, unicast=unicast,
-        multicast=multicast,
-    )
+        n_realizations=n_realizations, seed=seed,
+        columns=_breakdowns(config, profile, alloc, stats, cond, total))

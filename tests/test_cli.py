@@ -587,6 +587,40 @@ class TestValidate:
             reports.append((out / "montecarlo_report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_report_block_is_the_report_dict_and_builds_no_row(
+            self, tmp_path, monkeypatch):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["scenario"].update(n_unicast=3, n_groups=3, group_sizes=[2, 1, 3])
+        path = tmp_path / "three_groups.json"
+        path.write_text(json.dumps(raw))
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs))
+            return montecarlo.empirical_sinr(*args, **kwargs)
+
+        built = []
+        init = montecarlo.UserSinrBreakdown.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "empirical_sinr", recorded)
+        monkeypatch.setattr(montecarlo.UserSinrBreakdown, "__init__", counted)
+        assert main(["validate", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert built == []
+        written = tmp_path / "out" / "montecarlo_report.json"
+        block = json.loads(written.read_text())["report"]
+        [(args, kwargs)] = calls
+        report = montecarlo.empirical_sinr(*args, **kwargs)
+        assert kwargs["seed"] == 3
+        # JSON reads the index tuples as lists
+        assert block == json.loads(json.dumps(report.to_dict()))
+        assert [len(block[s]) for s in ("unicast", "multicast")] == [3, 6]
+        assert len(report.multicast) == len(built) == 6
+
 
 def series_text(points_by_n: dict) -> dict:
     """Each series of boundary points as the writers take it."""
@@ -704,6 +738,26 @@ class TestOverrideFlags:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSharedParser:
+    def test_one_process_writes_what_fresh_calls_write(self, tmp_path):
+        runs = [["validate", "--seed", "5"], ["pareto", "--points", "21"],
+                ["validate"]]
+        for i, argv in enumerate(runs):
+            assert main([*argv, "--out", str(tmp_path / f"shared{i}")]) == 0
+        for i, argv in enumerate(runs):
+            build_parser.cache_clear()
+            assert main([*argv, "--out", str(tmp_path / f"fresh{i}")]) == 0
+        for i in range(len(runs)):
+            shared = sorted((tmp_path / f"shared{i}").iterdir())
+            fresh = sorted((tmp_path / f"fresh{i}").iterdir())
+            assert [p.name for p in shared] == [p.name for p in fresh]
+            for a, b in zip(shared, fresh):
+                assert a.read_bytes() == b.read_bytes(), a.name
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
 
 class TestRepeatedAntennaCounts:

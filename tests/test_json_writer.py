@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmjoint.cli import ConfigError, _write_json, main
+from mmjoint.cli import _BLOCK, ConfigError, Table, _write_json, main
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "small.json"
 
@@ -49,6 +49,24 @@ def tables(min_rows=2, max_rows=50):
     return columns.flatmap(lambda cols: st.lists(
         st.fixed_dictionaries({key: column_kinds[kind] for key, kind in cols}),
         min_size=min_rows, max_size=max_rows))
+
+
+def table_columns():
+    """Columns of one length, each key holding one kind of value, as
+    ``Table`` takes them: up to 10 drawn rows, repeated up to 16 times so
+    that a table can be longer than a block."""
+    columns = st.lists(st.tuples(texts, st.integers(0, len(column_kinds) - 1)),
+                       max_size=5, unique_by=lambda c: c[0])
+    return st.tuples(columns, st.integers(0, 10), st.integers(1, 16)).flatmap(
+        lambda t: st.fixed_dictionaries({
+            key: st.lists(column_kinds[kind], min_size=t[1],
+                          max_size=t[1]).map(lambda v, times=t[2]: v * times)
+            for key, kind in t[0]}))
+
+
+def rows(columns: dict) -> list:
+    """The rows of a table's columns, as dicts."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
 
 
 float_lists = st.lists(floats, min_size=1, max_size=600)
@@ -92,6 +110,53 @@ def bad_payloads(bad):
                    for i, row in enumerate(t[0])])
     return st.one_of(values.map(lambda v: {"values": v}),
                      table.map(lambda rows: {"rows": rows}))
+
+
+class TestTables:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(columns=table_columns(), level=st.integers(0, 2))
+    def test_same_bytes_as_json_dumps_of_the_rows(self, columns, level):
+        payload, expected = Table(columns), rows(columns)
+        for _ in range(level):  # the table nested in a dict and a list
+            payload, expected = {"t": [payload]}, {"t": [expected]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "report.json"
+            _write_json(path, {"table": payload, "n": 1})
+            assert path.read_text() == reference({"table": expected, "n": 1})
+
+    @pytest.mark.parametrize("columns", [
+        {},
+        {"a": [], "b": []},
+        {"x": [1.5], "index": [(0,)], "name": ["u"]},
+        {"x": [i / 7 for i in range(2 * _BLOCK + 5)],
+         "index": [(i,) for i in range(2 * _BLOCK + 5)],
+         "pair": [(i // 3, i % 3) for i in range(2 * _BLOCK + 5)],
+         "name": [f"u{{{i}}}" for i in range(2 * _BLOCK + 5)]},
+        {"index": [(0, 0), (0, 1), (1, 0)], "one": [(0,), (1,), (2,)]},
+    ], ids=["no-column", "no-row", "one-row", "past-a-block", "tuples"])
+    def test_fixed_tables(self, tmp_path, columns):
+        path = tmp_path / "report.json"
+        _write_json(path, {"rows": Table(columns)})
+        assert path.read_text() == reference({"rows": rows(columns)})
+
+    @pytest.mark.parametrize("at", [0, _BLOCK + 3])
+    def test_nan_in_a_column_raises_and_keeps_the_earlier_file(self, tmp_path,
+                                                               at):
+        path = tmp_path / "report.json"
+        _write_json(path, {"ok": True})
+        good = path.read_bytes()
+        x = [1.0] * (2 * _BLOCK)
+        x[at] = math.nan
+        with pytest.raises(ConfigError) as info:
+            _write_json(path, {"rows": Table({"x": x, "n": list(range(
+                len(x)))})})
+        assert info.value.field == "scenario"
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_columns_of_different_lengths_are_refused(self):
+        with pytest.raises(ValueError):
+            Table({"a": [1.0, 2.0], "b": [1.0]})
 
 
 class TestWriterFailures:

@@ -307,10 +307,18 @@ class TestEmpiricalSinr:
 
     def test_report_dict_is_asdict(self, config, profile, alloc,
                                    three_groups):
+        # the report keeps columns; each row of to_dict() is asdict of the
+        # UserSinrBreakdown built from them
         for scenario in ((config, profile, alloc), three_groups):
             report = empirical_sinr(*scenario, 200, seed=26, n_workers=1)
-            assert report.to_dict() == dataclasses.asdict(report)
-            assert report.to_dict()["multicast"][0]["index"] == (0, 0)
+            d = report.to_dict()
+            assert d == {"n_realizations": 200, "seed": 26,
+                         "unicast": list(map(dataclasses.asdict,
+                                             report.unicast)),
+                         "multicast": list(map(dataclasses.asdict,
+                                               report.multicast))}
+            assert d["multicast"][0]["index"] == (0, 0)
+            assert type(d["unicast"][1]["index"]) is tuple
 
     def test_no_worker_outlives_the_call(self, config, profile, alloc):
         threads_before = threading.active_count()
