@@ -19,7 +19,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -451,14 +450,12 @@ def write_pareto_csv(path: Path, series: dict, header: str):
     _write_lines(path, header, lines)
 
 
-def emit_plotdata(
-    series: dict, path: Path, header: str, radial_ratios=RADIAL_RATIOS,
-):
+def emit_plotdata(series: dict, path: Path, header: str):
     """Plain tab-delimited plot data under the provenance line ``header``:
     one (o_mu, o_un) series per antenna count of ``series`` (N ->
-    ``SeriesText``), in its order, plus radial-line annotations at fixed
-    P_un/P power-split ratios.  A radial line takes the point whose p_un is
-    nearest ratio * P, the lower p_un on a tie."""
+    ``SeriesText``), in its order, plus radial-line annotations at the
+    P_un/P power-split ratios ``RADIAL_RATIOS``.  A radial line takes the
+    point whose p_un is nearest ratio * P, the lower p_un on a tie."""
     if not series:
         raise ValueError("no sweep results to emit")
     lines = ["# columns: o_mu<TAB>o_un"]
@@ -467,7 +464,7 @@ def emit_plotdata(
     for n, rows in text.items():
         lines.append(f"# series N={n}")
         lines += rows
-    for ratio in radial_ratios:
+    for ratio in RADIAL_RATIOS:
         lines.append(f"# radial P_un/P={ratio}")
         lines += [text[n][np.argmin(np.abs(s.p_un - ratio * s.total))]
                   for n, s in series.items()]
@@ -528,11 +525,10 @@ def _column_texts(values, level: int):
     """The JSON texts of ``values``, each at nesting depth ``level``.
 
     A column of one plain scalar type is encoded in one call.  A column of
-    dicts with one set of string keys is split into a ``Table``, and one of
-    lists or tuples of one length shorter than the column into the columns
-    of its entries; each text is then one ``format`` of a template that
-    holds the indentation (and the key texts).  Any other column is encoded
-    one value at a time.
+    lists or tuples of one length shorter than the column is split into the
+    columns of its entries; each text is then one ``format`` of a template
+    that holds the indentation.  Any other column is encoded one value at a
+    time.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
@@ -543,13 +539,7 @@ def _column_texts(values, level: int):
         return map(int.__repr__, values)
     if kinds == {str}:
         return map(encode_basestring_ascii, values)
-    if kinds == {dict}:
-        keys = values[0].keys()
-        if (keys and all(type(k) is str for k in keys)
-                and all(map(keys.__eq__, map(dict.keys, values)))):
-            return _row_texts(Table({k: list(map(itemgetter(k), values))
-                                     for k in keys}), level)
-    elif kinds <= {list, tuple} and len(set(map(len, values))) == 1:
+    if kinds <= {list, tuple} and len(set(map(len, values))) == 1:
         if 0 < len(values[0]) < len(values):  # fewer columns than rows
             columns = list(map(list, zip(*values)))
             return _formatted("[", [""] * len(columns), "]", columns, level)
@@ -613,11 +603,10 @@ def _write_json(path: Path, payload: dict):
     """Write ``payload`` as the bytes of ``json.dumps(payload, indent=2,
     sort_keys=True, allow_nan=False)`` and a newline, streamed into the
     file, with each ``Table`` written as the list of its rows' dicts.  A
-    list or a table is encoded a block of entries at a time, and a block of
-    same-key dicts is split into a table and encoded column by column.  NaN
-    or infinity raises ``ConfigError`` naming ``scenario``, and an object
-    that is not JSON ``TypeError``; either way ``path`` keeps what it
-    held."""
+    list or a table is encoded a block of entries at a time, a table column
+    by column.  NaN or infinity raises ``ConfigError`` naming ``scenario``,
+    and an object that is not JSON ``TypeError``; either way ``path`` keeps
+    what it held."""
     _write_atomic(path, itertools.chain(_json_text(payload), ["\n"]))
 
 

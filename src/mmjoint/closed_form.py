@@ -4,6 +4,8 @@ Everything here is evaluated in natural (linear) scale with float64; dB
 conversion is left to the I/O boundary.  Infeasible allocations raise instead
 of being clamped, so sweep code cannot silently corrupt results.  ``mrt_sinr``
 is the one MRT SINR law; the solvers and the Monte Carlo evaluate it too.
+``user_sinr`` applies it to all users in one pass, which ``evaluate`` splits
+by service and the Monte Carlo report reads its analytic fields from.
 """
 
 from __future__ import annotations
@@ -186,51 +188,33 @@ def mrt_sinr(n_antennas, power, variance, fading, total_power):
     return n_antennas * power * variance / (1.0 + fading * total_power)
 
 
-def _mrt_sinr_se(config, alloc, power, variance, fading):
-    """Check ``alloc``, then (sinr, se) of its users: ``mrt_sinr`` at its
-    total power, and SE = (1 - tau/T) * log2(1 + SINR)."""
-    alloc.check_feasible(config)
-    sinr = mrt_sinr(config.n_antennas, power, variance, fading,
-                    alloc.unicast_power + alloc.multicast_power)
-    return sinr, config.prelog(alloc.tau) * np.log2(1.0 + sinr)
-
-
-def sinr_se_unicast(
-    config: SystemConfig,
-    stats: EstimationStats,
-    alloc: PowerAllocation,
-    profile: LargeScaleProfile,
-):
-    """Per-unicast-user (sinr, se): ``mrt_sinr`` of p_m, vartheta_m, beta_m."""
-    return _mrt_sinr_se(config, alloc, np.asarray(alloc.p_dl),
-                        np.asarray(stats.vartheta), np.asarray(profile.beta))
-
-
-def sinr_se_multicast(
-    config: SystemConfig,
-    stats: EstimationStats,
-    alloc: PowerAllocation,
-    profile: LargeScaleProfile,
-):
-    """Per-multicast-user (sinr, se), grouped like ``profile.eta``:
-    ``mrt_sinr`` of q_j, xi_jk, eta_jk."""
-    # the allocation's layout: a mismatched one fails the feasibility check
-    q_dl = np.asarray(alloc.q_dl)[alloc.q_up.layout.member_group]
-    sinr, se = _mrt_sinr_se(config, alloc, q_dl, stats.xi.flat,
-                            profile.eta.flat)
-    return Grouped(sinr, config.layout), Grouped(se, config.layout)
+def user_sinr(config: SystemConfig, alloc: PowerAllocation,
+              stats: EstimationStats, profile: LargeScaleProfile):
+    """Every user's (power, variance, sinr), unicast users first, then the
+    group members in member order: its downlink power p_m or q_j, its
+    estimate variance vartheta_m or xi_jk, and ``mrt_sinr`` of them at the
+    allocation's total power.  ``alloc`` is not checked."""
+    group = config.layout.member_group
+    power = np.concatenate([alloc.p_dl, np.asarray(alloc.q_dl)[group]])
+    variance = np.concatenate([stats.vartheta, stats.xi.flat])
+    return power, variance, mrt_sinr(
+        config.n_antennas, power, variance, profile.fading,
+        alloc.unicast_power + alloc.multicast_power)
 
 
 def evaluate(
     config: SystemConfig, alloc: PowerAllocation, profile: LargeScaleProfile
 ) -> SpectralEfficiencies:
-    """Evaluate every user's SINR and SE for a full allocation."""
+    """Check ``alloc``, then every user's SINR (``user_sinr``, one pass over
+    all users) and SE = (1 - tau/T) * log2(1 + SINR)."""
     stats = EstimationStats.from_allocation(alloc, profile)
-    sinr_un, se_un = sinr_se_unicast(config, stats, alloc, profile)
-    sinr_mu, se_mu = sinr_se_multicast(config, stats, alloc, profile)
+    alloc.check_feasible(config)
+    sinr = user_sinr(config, alloc, stats, profile)[2]
+    se = config.prelog(alloc.tau) * np.log2(1.0 + sinr)
+    U = config.n_unicast
     return SpectralEfficiencies(
-        sinr_unicast=list(sinr_un),
-        se_unicast=list(se_un),
-        sinr_multicast=sinr_mu,
-        se_multicast=se_mu,
+        sinr_unicast=list(sinr[:U]),
+        se_unicast=list(se[:U]),
+        sinr_multicast=Grouped(sinr[U:], config.layout),
+        se_multicast=Grouped(se[U:], config.layout),
     )

@@ -33,19 +33,13 @@ order, one after the other, from the single stream
 ``Generator(SFC64(SeedSequence(s, spawn_key=(i,))))``.  Averages are reduced
 in fixed chunk order, so sequential and parallel runs are bit-identical.
 Parallel runs need independent streams per chunk, not one per realization
-(L'Ecuyer et al., Math. Comput. Simul. 2017); earlier versions built one
-generator per realization, so reports at a given seed differ from theirs
-in every realization but the first of each chunk.
+(L'Ecuyer et al., Math. Comput. Simul. 2017).
 
 Draw layout of one realization: from its chunk's stream, U + G
 ``standard_gamma(N)`` draws, one per pilot (the U unicast pilots, then the
-G group pilots): 30 values on the default scenario.  Earlier versions drew
-U + sum K_g complex normals z_k after them (2 070 values), and before that
-a (U + sum K_g, U + G) block of exponentials, and before that the channel
-and pilot-noise normals (and SFC64 the PCG64 before them), so reports at a
-given seed differ from those of earlier versions.
+G group pilots): 30 values on the default scenario.
 
-Working set: a chunk keeps the (4, U + G) sums of its ``_Accumulator`` and
+Working set: a chunk returns one (4, U + G) array of per-pilot sums and
 draws ``_BATCH`` realizations at a time into two (``_BATCH``, U + G)
 buffers that every block overwrites; it holds no per-user array.  Finished
 chunks are folded into the running total in chunk order as they arrive.  At
@@ -75,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import (RAISE_FP_ERRORS, EstimationStats, PowerAllocation,
-                          mrt_sinr, pilot_scaling)
+                          pilot_scaling, user_sinr)
 from .scenario import GroupLayout, Grouped, LargeScaleProfile, SystemConfig
 
 _CHUNK = 512
@@ -299,27 +293,6 @@ class MonteCarloReport:
                 "multicast": self._row_dicts("multicast")}
 
 
-class _Accumulator:
-    """Running sums of what the draw produces, merged in fixed order.
-
-    Per pilot c (the U unicast pilots, then the G group pilots), row k - 1
-    of ``moment_sums`` sums e^k, k = 1..4, with e = Gamma_c - N the draw
-    less its known mean: ||y_c||^2 = (1 + s_c) Gamma_c, Gamma_c ~ Gamma(N, 1).
-    ``_breakdowns`` forms every own-coefficient and cross-precoder term from
-    the moments of ||y_c||^2 these give; the shift keeps its central moments
-    free of cancellation at any N.
-    """
-
-    def __init__(self, n_pilots: int):
-        self.n = 0
-        self.moment_sums = np.zeros((4, n_pilots))
-
-    def merge(self, other: "_Accumulator"):
-        self.n += other.n
-        self.moment_sums += other.moment_sums
-        return self
-
-
 def _substream(seed: int, i: int) -> np.random.Generator:
     """The generator of the chunk whose first realization is ``i``: SFC64 on
     the substream ``SeedSequence(seed, spawn_key=(i,))``.  The chunk reads
@@ -383,12 +356,14 @@ class _Conditioning:
 
 @RAISE_FP_ERRORS  # per worker thread: errstate does not cross threads
 def _run_chunk(cond: _Conditioning, seed, indices):
-    acc = _Accumulator(len(cond.one_plus_snr))
-    acc.n = len(indices)
+    """Per pilot c, row k - 1 sums e^k, k = 1..4, over the chunk, with
+    e = Gamma_c - N the draw less its known mean, ||y_c||^2 =
+    (1 + s_c) Gamma_c: the shift keeps the central moments that
+    ``_breakdowns`` forms free of cancellation at any N."""
+    sums = np.zeros((4, len(cond.one_plus_snr)))
     # overwritten by every block of the chunk: e and e^2
     e_block = np.empty((_BATCH, len(cond.one_plus_snr)))
     sq_block = np.empty_like(e_block)
-    sums = acc.moment_sums
     # the chunk's realizations, in order, each in the layout of the module
     # docstring, from one stream: the stream holds only gammas, so one fill
     # of a block reads what per-realization calls would
@@ -403,7 +378,7 @@ def _run_chunk(cond: _Conditioning, seed, indices):
         sums[1] += sq.sum(axis=0)
         sums[2] += np.einsum("ij,ij->j", sq, e)
         sums[3] += np.einsum("ij,ij->j", sq, sq)
-    return acc
+    return sums
 
 
 def _own_terms(mean, spread, x1, x2, x3, x4, n: int):
@@ -429,15 +404,14 @@ def _own_terms(mean, spread, x1, x2, x3, x4, n: int):
     return desired, desired_se, var_c, np.sqrt(np.maximum(0.0, var_phi) / n)
 
 
-def _breakdowns(config, profile, alloc, stats, cond, acc):
-    """Turn the accumulated sums into per-user empirical/analytic terms:
-    ``MonteCarloReport.columns``, the fields of ``UserSinrBreakdown`` per
-    service.
+def _breakdowns(config, profile, alloc, stats, cond, sums, n: int):
+    """Turn the ``_run_chunk`` sums of n realizations into per-user
+    empirical/analytic terms: ``MonteCarloReport.columns``, the fields of
+    ``UserSinrBreakdown`` per service.
 
     Every array has one entry per user, unicast users first, then the group
     members in member order; each column is a slice of one of them.
     """
-    n = acc.n
     U = config.n_unicast
     layout = config.layout
     group = layout.member_group
@@ -446,7 +420,7 @@ def _breakdowns(config, profile, alloc, stats, cond, acc):
 
     # ||y_c||^2 = (1 + s_c) Gamma_c: its mean m1 and central moments mu2,
     # mu3, mu4, from the sums of e = Gamma_c - N
-    d, r2, r3, r4 = acc.moment_sums / n
+    d, r2, r3, r4 = sums / n
     scale = cond.one_plus_snr
     m1 = scale * (cond.n_antennas + d)
     mu2 = scale**2 * np.maximum(0.0, r2 - d * d)
@@ -473,8 +447,7 @@ def _breakdowns(config, profile, alloc, stats, cond, acc):
     cross_power = np.sum(mean_cross * ~same_block, axis=1)
 
     fade = profile.fading
-    dl_power = np.concatenate([alloc.p_dl, np.asarray(alloc.q_dl)[group]])
-    variance = np.concatenate([stats.vartheta, stats.xi.flat])
+    dl_power, variance, sinr = user_sinr(config, alloc, stats, profile)
     fields = dict(
         desired_power=desired,
         desired_power_analytic=config.n_antennas * dl_power * variance,
@@ -488,8 +461,7 @@ def _breakdowns(config, profile, alloc, stats, cond, acc):
         same_service_analytic=fade * np.where(is_unicast, p_un, p_mu),
         cross_service_analytic=fade * np.where(is_unicast, p_mu, p_un),
         sinr_empirical=desired / (1.0 + var_c + same_power + cross_power),
-        sinr_analytic=mrt_sinr(config.n_antennas, dl_power, variance, fade,
-                               p_un + p_mu),
+        sinr_analytic=sinr,
     )
     member = np.arange(config.n_multicast) - layout.starts[group]
     unicast = {"service": ["unicast"] * U, "index": list(zip(range(U)))}
@@ -544,17 +516,18 @@ def empirical_sinr(
     run = functools.partial(_run_chunk, cond, seed)
     chunks = [range(i, min(i + _CHUNK, n_realizations))
               for i in range(0, n_realizations, _CHUNK)]
-    # each chunk's sums are folded into the first chunk's, in chunk order,
-    # as the chunks finish
+    # each chunk's sums are folded into the total, in chunk order, as the
+    # chunks finish
     if n_workers is None:
         n_workers = usable_cpus()
+    total = np.zeros((4, config.n_pilots))
     with ThreadPoolExecutor(max_workers=n_workers) as pool, contextlib.closing(
             _in_order(pool, run, chunks,
                       _WINDOW_PER_WORKER * n_workers)) as finished:
-        total = None
-        for acc in finished:
-            total = acc if total is None else total.merge(acc)
+        for sums in finished:
+            total += sums
 
     return MonteCarloReport(
         n_realizations=n_realizations, seed=seed,
-        columns=_breakdowns(config, profile, alloc, stats, cond, total))
+        columns=_breakdowns(config, profile, alloc, stats, cond, total,
+                            n_realizations))

@@ -640,7 +640,7 @@ class TestEmitPlotdata:
         with pytest.raises(ValueError):
             emit_plotdata({}, tmp_path / "x.txt", {})
 
-    def test_same_bytes_as_per_row_formatting(self, tmp_path):
+    def test_same_bytes_as_per_row_formatting(self, tmp_path, monkeypatch):
         cfg = load_config(SMALL_CONFIG)
         points_by_n = {n: points(pareto_sweep(cfg.system(n), cfg.profile, 7))
                        for n in (32, 64)}
@@ -649,9 +649,10 @@ class TestEmitPlotdata:
                          o_un=0.1 * i**2 + 1 / 3) for i in range(5)]
         points_by_n[16] = halfway
         ratios = (0.25, 0.375, 0.5, 0.75)
+        monkeypatch.setattr(cli, "RADIAL_RATIOS", ratios)
         prov = {"tool": "test"}
         emit_plotdata(series_text(points_by_n), tmp_path / "plot.txt",
-                      provenance_header(prov), ratios)
+                      provenance_header(prov))
         rows = sorted((n, pt.p_un, pt.p_mu, pt.o_mu, pt.o_un)
                       for n, pts in points_by_n.items() for pt in pts)
         write_pareto_csv(tmp_path / "pareto.csv", series_text(points_by_n),

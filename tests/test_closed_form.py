@@ -14,8 +14,6 @@ from mmjoint.closed_form import (
     evaluate,
     mrt_sinr,
     pilot_scaling,
-    sinr_se_multicast,
-    sinr_se_unicast,
 )
 from mmjoint.optimizers import solve_mmf
 from mmjoint.scenario import LargeScaleProfile, SystemConfig
@@ -130,44 +128,41 @@ class TestSinrSe:
         self.config = make_system(total_dl_power=4.0, energy=30.0)
         self.profile = LargeScaleProfile(beta=[0.8, 1.5], eta=[[1.0, 0.6]])
 
-    def stats(self, alloc):
-        return EstimationStats.from_allocation(alloc, self.profile)
+    def unicast(self, alloc, config=None):
+        ses = evaluate(config or self.config, alloc, self.profile)
+        return np.asarray(ses.sinr_unicast), np.asarray(ses.se_unicast)
 
     def test_zero_downlink_power(self):
         alloc = make_alloc(p_dl=(0.0, 1.0), q_dl=(2.0,))
-        sinr, se = sinr_se_unicast(self.config, self.stats(alloc), alloc,
-                                   self.profile)
+        sinr, se = self.unicast(alloc)
         assert sinr[0] == 0.0 and se[0] == 0.0
         assert sinr[1] > 0.0
 
     def test_full_pilot_overhead_kills_se(self):
         cfg = make_system(total_dl_power=4.0, energy=30.0)
         alloc = make_alloc(tau=200, p_up=(0.1, 0.1), q_up=((0.05, 0.05),))
-        stats = EstimationStats.from_allocation(alloc, self.profile)
-        sinr, se = sinr_se_unicast(cfg, stats, alloc, self.profile)
+        sinr, se = self.unicast(alloc, cfg)
         assert np.all(sinr > 0.0)
         assert np.all(se == 0.0)
 
     def test_sinr_linear_in_antennas(self):
         alloc = make_alloc()
-        stats = self.stats(alloc)
         small = make_system(n_antennas=50, total_dl_power=4.0)
         big = make_system(n_antennas=100, total_dl_power=4.0)
-        s1, _ = sinr_se_unicast(small, stats, alloc, self.profile)
-        s2, _ = sinr_se_unicast(big, stats, alloc, self.profile)
+        s1, _ = self.unicast(alloc, small)
+        s2, _ = self.unicast(alloc, big)
         assert np.allclose(s2, 2.0 * s1, rtol=1e-15)
 
     def test_multicast_zero_group_power(self):
         alloc = make_alloc(q_dl=(0.0,))
-        sinr, se = sinr_se_multicast(self.config, self.stats(alloc), alloc,
-                                     self.profile)
+        ses = evaluate(self.config, alloc, self.profile)
+        sinr, se = ses.sinr_multicast, ses.se_multicast
         assert np.all(sinr[0] == 0.0) and np.all(se[0] == 0.0)
 
     def test_multicast_symmetry(self):
         profile = LargeScaleProfile(beta=[0.8, 1.5], eta=[[0.9, 0.9]])
         alloc = make_alloc(q_up=((0.5, 0.5),))
-        stats = EstimationStats.from_allocation(alloc, profile)
-        sinr, _ = sinr_se_multicast(self.config, stats, alloc, profile)
+        sinr = evaluate(self.config, alloc, profile).sinr_multicast
         assert sinr[0][0] == pytest.approx(sinr[0][1], rel=1e-15)
 
     def test_single_member_group_matches_unicast(self):
@@ -177,15 +172,14 @@ class TestSinrSe:
         profile = LargeScaleProfile(beta=[1.1], eta=[[1.1]])
         alloc = PowerAllocation(p_dl=[1.5], q_dl=[1.5], p_up=[0.4],
                                 q_up=[[0.4]], tau=2)
-        stats = EstimationStats.from_allocation(alloc, profile)
-        s_un, _ = sinr_se_unicast(cfg, stats, alloc, profile)
-        s_mu, _ = sinr_se_multicast(cfg, stats, alloc, profile)
-        assert s_mu[0][0] == pytest.approx(s_un[0], rel=1e-15)
+        ses = evaluate(cfg, alloc, profile)
+        assert ses.sinr_multicast[0][0] == pytest.approx(
+            ses.sinr_unicast[0], rel=1e-15)
 
     def test_infeasible_total_power_rejected(self):
         alloc = make_alloc(p_dl=(3.0, 3.0), q_dl=(3.0,))
         with pytest.raises(InfeasibleAllocationError):
-            sinr_se_unicast(self.config, self.stats(alloc), alloc, self.profile)
+            evaluate(self.config, alloc, self.profile)
 
     def test_pilot_energy_overrun_rejected(self):
         cfg = make_system(total_dl_power=4.0, energy=1.0)
@@ -211,12 +205,9 @@ class TestSinrSe:
         base = make_alloc(p_dl=(1.0, 1.0), q_dl=(1.0,))
         more_own = make_alloc(p_dl=(1.0 + bump, 1.0), q_dl=(1.0,))
         more_other = make_alloc(p_dl=(1.0, 1.0 + bump), q_dl=(1.0,))
-        s0, _ = sinr_se_unicast(self.config, self.stats(base), base,
-                                self.profile)
-        s1, _ = sinr_se_unicast(self.config, self.stats(more_own), more_own,
-                                self.profile)
-        s2, _ = sinr_se_unicast(self.config, self.stats(more_other),
-                                more_other, self.profile)
+        s0, _ = self.unicast(base)
+        s1, _ = self.unicast(more_own)
+        s2, _ = self.unicast(more_other)
         assert s1[0] > s0[0]
         assert s2[0] < s0[0]
 
@@ -265,7 +256,8 @@ class TestLoopReference:
     def test_estimation_and_sinr_equal_per_group_loops(self, three_groups):
         config, profile, alloc = three_groups
         stats = EstimationStats.from_allocation(alloc, profile)
-        sinr, se = sinr_se_multicast(config, stats, alloc, profile)
+        ses = evaluate(config, alloc, profile)
+        sinr, se = ses.sinr_multicast, ses.se_multicast
         total = alloc.unicast_power + alloc.multicast_power
         assert len(stats.xi) == len(sinr) == len(se) == config.n_groups
         for j, (q, eta) in enumerate(zip(alloc.q_up, profile.eta)):

@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from statistics import NormalDist
 
 import numpy as np
@@ -327,13 +328,25 @@ class TestEmpiricalSinr:
         assert multiprocessing.active_children() == []
 
     def test_peak_memory_does_not_grow_with_chunk_count(self, monkeypatch):
-        # 208 users and 12 precoders: about 14 KB of sums per chunk
+        # 208 users and 12 precoders: a chunk returns 4 x 12 sums, 512 bytes,
+        # so the peak, about 220 KB of per-user arrays, cannot show them
+        # held; the chunk results alive at once are counted instead
         config = make_system(n_unicast=8, n_groups=4, group_sizes=(50,) * 4,
                              n_antennas=8)
         profile = LargeScaleProfile(beta=[1.0] * 8, eta=[[1.0] * 50] * 4)
         alloc = PowerAllocation(p_dl=[0.25] * 8, q_dl=[0.5] * 4,
                                 p_up=[0.5] * 8, q_up=[[0.5] * 50] * 4, tau=12)
         monkeypatch.setattr(montecarlo, "_CHUNK", 100)
+        run_chunk, results, most_alive = montecarlo._run_chunk, [], [0]
+
+        def counted(*args):
+            sums = run_chunk(*args)
+            results.append(weakref.ref(sums))
+            alive = sum(ref() is not None for ref in results)
+            most_alive[0] = max(most_alive[0], alive)
+            return sums
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", counted)
 
         def peak(n_chunks):
             tracemalloc.start()
@@ -345,9 +358,13 @@ class TestEmpiricalSinr:
                 tracemalloc.stop()
 
         peak(2)  # first-call allocations are not counted
-        few, many = peak(2), peak(40)
-        # holding every chunk's sums until the end adds about 500 KB here
+        few = peak(2)
+        most_alive[0] = 0
+        many = peak(40)
         assert many < 1.5 * few
+        # the window of chunks in flight, the one being folded and the one
+        # just returned; holding every chunk's sums until the fold keeps 40
+        assert most_alive[0] <= montecarlo._WINDOW_PER_WORKER + 2
 
     def test_chunks_in_flight_are_bounded(self, config, profile, alloc,
                                           monkeypatch):
@@ -482,14 +499,15 @@ def _draw_reference(config, profile, alloc, stats, rng):
     return gammas - N, mean_c, power
 
 
-def _chunk_means(cond, acc):
-    """What a chunk's sums stand for: the mean own coefficient mu m1, and
-    the per-(user, pilot) mean powers, mu^2 (mu2 + m1^2) + spread^2 m1 on
-    the user's own pilot and entry_power m1 on the others, with m1 the
-    mean and mu2 the central second moment of ||y_c||^2.  Each comes with
-    the variance of one realization's term."""
-    n, scale = acc.n, cond.one_plus_snr
-    d, r2, r3, r4 = acc.moment_sums / n
+def _chunk_means(cond, sums, n):
+    """What a chunk's sums of n realizations stand for: the mean own
+    coefficient mu m1, and the per-(user, pilot) mean powers,
+    mu^2 (mu2 + m1^2) + spread^2 m1 on the user's own pilot and
+    entry_power m1 on the others, with m1 the mean and mu2 the central
+    second moment of ||y_c||^2.  Each comes with the variance of one
+    realization's term."""
+    scale = cond.one_plus_snr
+    d, r2, r3, r4 = sums / n
     # central moments of e = Gamma_c - N
     c2 = r2 - d * d
     c3 = r3 - 3.0 * d * r2 + 2.0 * d**3
@@ -538,19 +556,6 @@ def _full_channel_chunk(scenario, seed, n):
     return sum_c, sum_re2_c, sum_power, sum_power_sq
 
 
-def _power_sums(cond, acc):
-    """The per-(user, pilot) sums of the power and its square that a chunk's
-    sums stand for: |c_k|^2 and |c_k|^4 on the user's own pilot, the
-    conditional mean powers fading_k G_c^2 ||y_c||^2 and their squares on
-    the others."""
-    users = np.arange(len(cond.own_col))
-    power = cond.entry_power * acc.sum_norm2
-    power_sq = cond.entry_power_sq * acc.sum_norm4
-    power[users, cond.own_col] = acc.sum_abs2
-    power_sq[users, cond.own_col] = acc.sum_abs4
-    return power, power_sq
-
-
 class TestSufficientDraw:
     def test_realization_follows_the_documented_layout(self, three_groups):
         config, profile, alloc = three_groups
@@ -566,12 +571,11 @@ class TestSufficientDraw:
                 config, profile, alloc, stats,
                 np.random.Generator(np.random.SFC64(
                     np.random.SeedSequence(seed, spawn_key=(i,)))))
-            acc = montecarlo._run_chunk(cond, seed, range(i, i + 1))
-            assert acc.n == 1
-            same(acc.moment_sums, [e, e**2, e**3, e**4])
+            sums = montecarlo._run_chunk(cond, seed, range(i, i + 1))
+            same(sums, [e, e**2, e**3, e**4])
             # E[c | y] on the own pilot; E[|c|^2 | y] on it and the mean
             # power given y off it
-            chunk_c, _, chunk_power, _ = _chunk_means(cond, acc)
+            chunk_c, _, chunk_power, _ = _chunk_means(cond, sums, 1)
             same(chunk_c, mean_c)
             same(chunk_power, power)
             # the zero downlink power gives a zero column, the zero pilot
@@ -587,8 +591,8 @@ class TestSufficientDraw:
         config, profile, alloc = three_groups
         stats = EstimationStats.from_allocation(alloc, profile)
         cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
-        acc = montecarlo._run_chunk(cond, 41, range(n))
-        mean_c, var_c, power, var_power = _chunk_means(cond, acc)
+        sums = montecarlo._run_chunk(cond, 41, range(n))
+        mean_c, var_c, power, var_power = _chunk_means(cond, sums, n)
         m1 = np.concatenate([power.ravel(), mean_c, np.zeros_like(mean_c)])
         v1 = np.concatenate([var_power.ravel(), var_c,
                              np.zeros_like(var_c)]) / n
@@ -620,18 +624,17 @@ class TestSufficientDraw:
         stats = EstimationStats.from_allocation(alloc, profile)
         cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
         indices = range(3, 3 + montecarlo._BATCH + 17)
-        chunk = montecarlo._run_chunk(cond, 47, indices)
+        sums = montecarlo._run_chunk(cond, 47, indices)
         rng = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(47, spawn_key=(3,))))
         powers = np.array([
             _draw_reference(config, profile, alloc, stats, rng)[0]
             for _ in indices])[None] ** np.arange(1, 5)[:, None, None]
-        assert chunk.n == len(indices)
-        assert set(vars(chunk)) == {"n", "moment_sums"}
+        assert sums.shape == (4, config.n_pilots)
         # the sums of e^k cancel: bound the rounding by the sums of |e|^k
         for k, power in enumerate(powers, 1):
             np.testing.assert_allclose(
-                chunk.moment_sums[k - 1], power.sum(axis=0), rtol=0,
+                sums[k - 1], power.sum(axis=0), rtol=0,
                 atol=1e-12 * np.abs(power).sum(axis=0).max(),
                 err_msg=f"e^{k}")
 
@@ -680,8 +683,8 @@ class TestSufficientDraw:
                 tracemalloc.stop()
 
         peak(64)  # first-call allocations are not counted
-        # one (realizations, users) array of coefficients takes 1.7 MB at
-        # 512 realizations
+        # the two (64, 12) buffers take 12 KB; drawing 512 realizations at
+        # once would take two (512, 12) arrays, 98 KB
         assert peak(512) < 1.25 * peak(64)
 
     def test_partial_batch_is_bit_identical_across_workers(self,
