@@ -477,8 +477,8 @@ _BLOCK = 64  # list entries encoded and written at a time
 class Table:
     """Rows held as columns: ``columns`` maps each key to a list of one
     value per row, all of one length.  The JSON writer writes a table as
-    the list of its rows' dicts without building them; a table with no
-    column has no row."""
+    the list of its rows' dicts without building them, its entries taken
+    column by column; a table with no column has no row."""
 
     def __init__(self, columns: dict):
         if len(set(map(len, columns.values()))) > 1:
@@ -521,58 +521,52 @@ def _key_text(key) -> str:
     return encode_basestring_ascii(text)
 
 
-def _column_texts(values, level: int):
-    """The JSON texts of ``values``, each at nesting depth ``level``.
+def _entry(values, level: int) -> tuple[str, list]:
+    """The ``%`` template of one entry at nesting depth ``level``, for
+    entries ``values`` (a list, a tuple or a ``Table``), and the columns of
+    values that template takes, one per slot.
 
-    A column of one plain scalar type is encoded in one call.  A column of
-    lists or tuples of one length shorter than the column is split into the
-    columns of its entries; each text is then one ``format`` of a template
-    that holds the indentation.  Any other column is encoded one value at a
-    time.
+    A column of exact floats or ints fills ``%r``, and a column of strings
+    ``%s`` with their JSON texts.  The rows of a table, and lists or tuples
+    of one length shorter than the column, are containers whose entries
+    are columns; their template holds the indentation and the key texts,
+    with ``%`` written ``%%``.  Any other value fills ``%s`` with its own
+    JSON text.
     """
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        if not all(map(math.isfinite, values)):
-            raise ConfigError("scenario", _NON_FINITE)
-        return map(float.__repr__, values)
-    if kinds == {int}:
-        return map(int.__repr__, values)
-    if kinds == {str}:
-        return map(encode_basestring_ascii, values)
-    if kinds <= {list, tuple} and len(set(map(len, values))) == 1:
-        if 0 < len(values[0]) < len(values):  # fewer columns than rows
-            columns = list(map(list, zip(*values)))
-            return _formatted("[", [""] * len(columns), "]", columns, level)
-    return ["".join(_json_text(v, level)) for v in values]
-
-
-def _row_texts(table: Table, level: int):
-    """The JSON texts of the rows of ``table``, each at depth ``level``:
-    one ``format`` per row of a template that holds the indentation and the
-    key texts, its entries encoded column by column."""
-    keys = sorted(table.columns)
-    heads = [_key_text(k).replace("{", "{{").replace("}", "}}") + ": "
-             for k in keys]
-    return _formatted("{{", heads, "}}", [table.columns[k] for k in keys],
-                      level)
-
-
-def _formatted(opening: str, heads: list, closing: str, columns: list,
-               level: int):
-    """The texts of the containers at depth ``level`` whose entries are
-    ``columns``, each entry after its key text in ``heads``."""
+    if isinstance(values, Table):
+        keys = sorted(values.columns)
+        heads = [_key_text(k).replace("%", "%%") + ": " for k in keys]
+        columns, opening, closing = map(values.columns.get, keys), "{", "}"
+    else:
+        kinds = set(map(type, values))
+        if kinds == {float}:
+            if not all(map(math.isfinite, values)):
+                raise ConfigError("scenario", _NON_FINITE)
+            return "%r", [values]
+        if kinds == {int}:
+            return "%r", [values]
+        if kinds == {str}:
+            return "%s", [list(map(encode_basestring_ascii, values))]
+        if not (kinds <= {list, tuple} and len(set(map(len, values))) == 1
+                and 0 < len(values[0]) < len(values)):  # fewer columns
+            return "%s", [["".join(_json_text(v, level)) for v in values]]
+        columns, opening, closing = list(zip(*values)), "[", "]"
+        heads = [""] * len(columns)
     inner = "\n" + "  " * (level + 1)
-    template = (opening + ",".join(inner + head + "{}" for head in heads)
-                + "\n" + "  " * level + closing)
-    return map(template.format,
-               *[_column_texts(column, level + 1) for column in columns])
+    texts, taken = [], []
+    for head, column in zip(heads, columns):
+        text, slots = _entry(column, level + 1)
+        texts.append(inner + head + text)
+        taken += slots
+    return opening + ",".join(texts) + "\n" + "  " * level + closing, taken
 
 
 def _json_text(o, level: int = 0):
     """Yield the text of ``o`` at nesting depth ``level`` as
     ``json.dumps(o, indent=2, sort_keys=True, allow_nan=False)`` writes it,
-    a ``Table`` as the list of its rows' dicts; a list or a table goes
-    ``_BLOCK`` entries at a time."""
+    a ``Table`` as the list of its rows' dicts.  A list or a table goes
+    ``_BLOCK`` entries at a time, each block one ``%`` format of its
+    ``_entry`` template repeated."""
     text = _scalar_text(o)
     if text is not None:
         yield text
@@ -587,12 +581,14 @@ def _json_text(o, level: int = 0):
             opening = "," + inner
         yield closing + "}" if o else "{}"
     elif isinstance(o, (list, tuple, Table)):
-        texts = _row_texts if isinstance(o, Table) else _column_texts
-        opening = "[" + inner
+        opening, separator = "[" + inner, "," + inner
         for start in range(0, len(o), _BLOCK):
-            yield opening + ("," + inner).join(
-                texts(o[start:start + _BLOCK], level + 1))
-            opening = "," + inner
+            block = o[start:start + _BLOCK]
+            template, columns = _entry(block, level + 1)
+            values = (tuple(columns[0]) if len(columns) == 1 else
+                      tuple(itertools.chain.from_iterable(zip(*columns))))
+            yield opening + separator.join([template] * len(block)) % values
+            opening = separator
         yield closing + "]" if len(o) else "[]"
     else:
         raise TypeError(
@@ -603,10 +599,10 @@ def _write_json(path: Path, payload: dict):
     """Write ``payload`` as the bytes of ``json.dumps(payload, indent=2,
     sort_keys=True, allow_nan=False)`` and a newline, streamed into the
     file, with each ``Table`` written as the list of its rows' dicts.  A
-    list or a table is encoded a block of entries at a time, a table column
-    by column.  NaN or infinity raises ``ConfigError`` naming ``scenario``,
-    and an object that is not JSON ``TypeError``; either way ``path`` keeps
-    what it held."""
+    list or a table is encoded a block of entries at a time, each block in
+    one ``%`` format whose values are taken column by column.  NaN or
+    infinity raises ``ConfigError`` naming ``scenario``, and an object that
+    is not JSON ``TypeError``; either way ``path`` keeps what it held."""
     _write_atomic(path, itertools.chain(_json_text(payload), ["\n"]))
 
 
@@ -812,7 +808,8 @@ def _overrides(args) -> dict:
                                       ("n", "points", "seed", "p_un", "p_mu"))
     for flag, value, (test, valid) in (
             ("--n", n, _COUNT),
-            ("--points", points, _count(MIN_CONVEXITY_POINTS))):
+            ("--points", points, _count(MIN_CONVEXITY_POINTS)),
+            ("--seed", seed, _integer(0))):
         if value is not None and not test(value):
             raise ConfigError(flag, f"{flag} must be {valid}")
     for flag, power in zip(_SPLIT_FLAGS, (p_un, p_mu)):

@@ -391,6 +391,19 @@ class TestSolverCommands:
         assert err["field"] == "--n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command, seed", [("pareto", "-1"),
+                                               ("validate", "-3")])
+    def test_negative_seed_override_rejected(self, config_path, tmp_path,
+                                             capsys, command, seed):
+        code = main([command, "--config", config_path, "--out",
+                     str(tmp_path / "run"), "--seed", seed])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert err["field"] == "--seed"
+        assert err["message"] == "--seed must be an integer >= 0"
+        assert not (tmp_path / "run").exists()
+
     def test_internal_error_is_not_reported_as_infeasible(
             self, config_path, tmp_path, monkeypatch):
         def broken(*args):

@@ -27,7 +27,7 @@ def reference(payload) -> str:
 floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308]))
-texts = st.text(st.one_of(st.sampled_from('"\\{}\x00\x1f\n\té€😀'),
+texts = st.text(st.one_of(st.sampled_from('"\\{}%\x00\x1f\n\té€😀'),
                           st.characters()), max_size=6)
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, texts)
 nested = st.recursive(
@@ -92,6 +92,21 @@ class TestWriterMatchesJson:
         _write_json(path, payload)
         assert path.read_text() == reference(payload)
 
+    @pytest.mark.parametrize("payload", [
+        # two lists wider than a block: the shape of the provenance budgets
+        {"budgets": [[x / 3 for x in range(100)],
+                     [x / 7 for x in range(100)]]},
+        {"values": [1] * _BLOCK + [1.5] * 5,
+         "pairs": [(i, i / 3) for i in range(_BLOCK)]
+         + [(i / 3, i) for i in range(5)]},
+        {"50%": ["%s", "%%", "%r", "%", "{}"],
+         "%s": [["%%", 1.5], ["%", 2.5]]},
+    ], ids=["two-long-lists", "int-then-float-block", "percent-signs"])
+    def test_fixed_payloads(self, tmp_path, payload):
+        path = tmp_path / "report.json"
+        _write_json(path, payload)
+        assert path.read_text() == reference(payload)
+
     def test_scalar_keys_written_as_json_writes_them(self, tmp_path):
         for payload in ({2: "a", 10: [1.5, -0.0]}, {True: 1, False: 2},
                         {None: 2}, {1.5: {}, -2.0: []}):
@@ -133,7 +148,11 @@ class TestTables:
          "pair": [(i // 3, i % 3) for i in range(2 * _BLOCK + 5)],
          "name": [f"u{{{i}}}" for i in range(2 * _BLOCK + 5)]},
         {"index": [(0, 0), (0, 1), (1, 0)], "one": [(0,), (1,), (2,)]},
-    ], ids=["no-column", "no-row", "one-row", "past-a-block", "tuples"])
+        {"50%": [1.0, 2.0, 3.0], "name": ["%s", "%%", "{}"]},
+        {"empty": [()] * 5, "flag": [True, False, True, True, False]},
+        {"x": [1] * _BLOCK + [1.5] * 5, "n": list(range(_BLOCK + 5))},
+    ], ids=["no-column", "no-row", "one-row", "past-a-block", "tuples",
+            "percent-signs", "empty-tuples-and-bools", "int-then-float"])
     def test_fixed_tables(self, tmp_path, columns):
         path = tmp_path / "report.json"
         _write_json(path, {"rows": Table(columns)})
@@ -153,6 +172,21 @@ class TestTables:
         assert info.value.field == "scenario"
         assert path.read_bytes() == good
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("at", [0, _BLOCK + 3])
+    def test_nan_in_a_nested_list_column_raises_and_keeps_the_earlier_file(
+            self, tmp_path, at):
+        path = tmp_path / "report.json"
+        _write_json(path, {"ok": True})
+        good = path.read_bytes()
+        pairs = [[1.0, 2.0] for _ in range(2 * _BLOCK)]
+        pairs[at] = [1.0, math.nan]
+        for payload in ({"rows": Table({"pair": pairs})}, {"pairs": pairs}):
+            with pytest.raises(ConfigError) as info:
+                _write_json(path, payload)
+            assert info.value.field == "scenario"
+            assert path.read_bytes() == good
+            assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_columns_of_different_lengths_are_refused(self):
         with pytest.raises(ValueError):
