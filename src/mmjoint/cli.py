@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .closed_form import InfeasibleAllocationError, PowerAllocation
-from .montecarlo import MIN_REALIZATIONS, empirical_sinr, usable_cpus
+from .montecarlo import MIN_REALIZATIONS, empirical_sinr
 from .optimizers import (
     MIN_CONVEXITY_POINTS,
     brute_force_oracle,
@@ -127,9 +127,8 @@ _NONNEGATIVE = (lambda v: _is_number(v) and _finite(v) and v >= 0,
                 "a finite number >= 0")
 
 # block -> key -> (kind, default); a default of None leaves an absent field
-# absent, and a callable default is called each time the block is resolved.
-# Rules that join fields (list lengths, the radii's order, distances inside
-# the cell, the physical ranges, the pilot length below the coherence
+# absent.  Rules that join fields (list lengths, the radii's order, distances
+# inside the cell, the physical ranges, the pilot length below the coherence
 # interval) live in the dataclasses of ``scenario``.
 _FIELDS = {
     "<root>": {"scenario": (_MAPPING, _REQUIRED), "sweep": (_MAPPING, {}),
@@ -170,7 +169,6 @@ _FIELDS = {
     "montecarlo": {
         "n_realizations": (_count(MIN_REALIZATIONS), 20000),
         "seed": (_integer(0), 1),
-        "n_workers": (_COUNT, usable_cpus),
         "unicast_power_fraction": (
             (lambda v: _is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
             0.5),
@@ -199,8 +197,6 @@ def _resolve(block, name: str) -> dict:
             resolved[key] = block[key]
         elif default is _REQUIRED:
             raise ConfigError(f"{name}.{key}", "missing required field")
-        elif callable(default):
-            resolved[key] = default()
         elif default is not None:
             resolved[key] = copy.deepcopy(default)
     return resolved
@@ -243,17 +239,12 @@ class ExperimentConfig:
         return replace(self.base_system, n_antennas=n_antennas)
 
     def provenance(self) -> dict:
-        """Resolved config echoed into every output file.
-
-        The parallelism degree is excluded: it cannot affect results, and
-        outputs must be byte-identical across worker counts.
-        """
-        mc = {k: v for k, v in self.montecarlo.items() if k != "n_workers"}
+        """Resolved config echoed into every output file."""
         return {
             "tool": f"mmjoint {__version__}",
             "scenario": self.scenario,
             "sweep": self.sweep,
-            "montecarlo": mc,
+            "montecarlo": self.montecarlo,
             "output": self.output,
             "normalized": {
                 "total_dl_power": self.total_dl_power,
@@ -685,8 +676,7 @@ def _cmd_validate(cfg, args, out_dir: Path) -> int:
     mc = cfg.montecarlo
     report = empirical_sinr(
         system, cfg.profile, alloc, n_realizations=mc["n_realizations"],
-        seed=mc["seed"], n_workers=mc["n_workers"],
-    )
+        seed=mc["seed"])
     _write_json(out_dir / "montecarlo_report.json", {
         "provenance": cfg.provenance(), "p_un": p_un, "p_mu": p_mu,
         "report": {"n_realizations": report.n_realizations,
@@ -835,7 +825,11 @@ def main(argv=None) -> int:
         overrides = _overrides(args)  # checked before the config is read
         cfg = load_config(_read_raw_config(args.config), overrides)
         out_dir = Path(args.out or cfg.output["directory"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out" if args.out else "output.directory",
+                              f"cannot make the output directory: {exc}")
         try:
             return args.handler(cfg, args, out_dir)
         except FloatingPointError:  # an overflow, e.g. from a huge power

@@ -41,15 +41,17 @@ G group pilots): 30 values on the default scenario.
 
 Working set: a chunk returns one (4, U + G) array of per-pilot sums and
 draws ``_BATCH`` realizations at a time into two (``_BATCH``, U + G)
-buffers that every block overwrites; it holds no per-user array.  Finished
-chunks are folded into the running total in chunk order as they arrive.  At
-most two chunks per worker are in flight (submitted and not yet folded), so
-chunks that finish ahead of their turn cannot pile up with their sums.  The
-report holds each per-user field as two lists, the unicast and multicast
-slices of one array; no ``UserSinrBreakdown`` is built until its rows are
-read.  By default one worker thread runs per CPU the process may use
-(``usable_cpus``).  A chunk builds its generator once; the gamma fills, most
-of a chunk's time, run without the GIL.  No step calls BLAS, so the BLAS
+buffers that every block overwrites; it holds no per-user array.  A chunk's
+range is made when the chunk is submitted, not before the first one runs.
+Finished chunks are folded into the running total in chunk order as they
+arrive.  At most two chunks per worker are in flight (submitted and not yet
+folded), so chunks that finish ahead of their turn cannot pile up with their
+sums.  The report holds each per-user field as two lists, the unicast and
+multicast slices of one array; no ``UserSinrBreakdown`` is built until its
+rows are read.  One worker thread runs per CPU the process may use
+(``usable_cpus``); restricting the process's CPU set (``taskset``, a cpuset)
+runs fewer.  A chunk builds its generator once; the gamma fills, most of a
+chunk's time, run without the GIL.  No step calls BLAS, so the BLAS
 thread count changes neither the result nor the speed.  A chunk touches no
 power, so a huge power cannot overflow there; it overflows the squared
 entry powers (fading_k G_c^2)^2, which raises ``FloatingPointError`` before
@@ -83,7 +85,7 @@ MIN_REALIZATIONS = 100
 
 def usable_cpus() -> int:
     """The CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU.  The default number of Monte Carlo workers."""
+    has one, else every CPU.  The number of Monte Carlo workers."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
@@ -497,12 +499,12 @@ def empirical_sinr(
     alloc: PowerAllocation,
     n_realizations: int,
     seed: int,
-    n_workers: int | None = None,
 ) -> MonteCarloReport:
-    """Estimate every SINR decomposition term by sample averaging.
+    """Estimate every SINR decomposition term by sample averaging, on one
+    worker thread per CPU the process may use (``usable_cpus``).
 
     Results are bit-identical for fixed (seed, n_realizations) regardless of
-    ``n_workers``, which defaults to ``usable_cpus()``.  Raises
+    the number of workers.  Raises
     ``FloatingPointError`` where a value overflows (a huge power): in the
     squared entry powers, before any chunk starts, or in the breakdowns,
     after every chunk has run.
@@ -514,12 +516,11 @@ def empirical_sinr(
 
     cond = _Conditioning.of(config, profile, alloc, stats)
     run = functools.partial(_run_chunk, cond, seed)
-    chunks = [range(i, min(i + _CHUNK, n_realizations))
-              for i in range(0, n_realizations, _CHUNK)]
+    chunks = (range(i, min(i + _CHUNK, n_realizations))
+              for i in range(0, n_realizations, _CHUNK))
     # each chunk's sums are folded into the total, in chunk order, as the
     # chunks finish
-    if n_workers is None:
-        n_workers = usable_cpus()
+    n_workers = usable_cpus()
     total = np.zeros((4, config.n_pilots))
     with ThreadPoolExecutor(max_workers=n_workers) as pool, contextlib.closing(
             _in_order(pool, run, chunks,

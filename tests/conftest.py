@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mmjoint import montecarlo
 from mmjoint.scenario import (
     LargeScaleProfile,
     SystemConfig,
@@ -11,6 +12,12 @@ from mmjoint.scenario import (
 # reference normalized constants: 10 W over 20 MHz at -174 dBm/Hz, 2 uJ pilots
 REF_POWER = 10.0 / (20e6 * 10 ** ((-174.0 - 30.0) / 10.0))
 REF_ENERGY = 2e-6 / 10 ** ((-174.0 - 30.0) / 10.0)
+
+
+def use_cpus(monkeypatch, n: int):
+    """Run the Monte Carlo on ``n`` workers, as a process whose CPU set holds
+    ``n`` CPUs does."""
+    monkeypatch.setattr(montecarlo, "usable_cpus", lambda: n)
 
 
 def make_system(

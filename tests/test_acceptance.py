@@ -33,7 +33,7 @@ from mmjoint.optimizers import (
 )
 from mmjoint.scenario import LargeScaleProfile
 
-from conftest import make_system, random_scenario
+from conftest import make_system, random_scenario, use_cpus
 from test_cli import SMALL_CONFIG
 
 
@@ -280,7 +280,7 @@ def test_criterion_9_estimation_statistics(mc_setup):
                   "vartheta/gamma/xi; proportionality exact to 1e-12")
 
 
-def test_criterion_10_byte_identical_outputs(tmp_path):
+def test_criterion_10_byte_identical_outputs(tmp_path, monkeypatch):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(SMALL_CONFIG))
     outs = []
@@ -293,17 +293,14 @@ def test_criterion_10_byte_identical_outputs(tmp_path):
     csv_identical = outs[0] == outs[1]
 
     reports = []
-    for workers, name in ((1, "w1"), (4, "w4")):
-        raw = json.loads(json.dumps(SMALL_CONFIG))
-        raw["montecarlo"]["n_workers"] = workers
-        path = tmp_path / f"cfg_{name}.json"
-        path.write_text(json.dumps(raw))
-        out = tmp_path / name
-        assert main(["validate", "--config", str(path),
+    for cpus in (1, 2, 4):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"w{cpus}"
+        assert main(["validate", "--config", str(cfg_file),
                      "--out", str(out)]) == 0
         reports.append((out / "montecarlo_report.json").read_bytes())
-    mc_identical = reports[0] == reports[1]
+    mc_identical = reports[0] == reports[1] == reports[2]
     ok = csv_identical and mc_identical
     report(10, ok, f"CSV/plotdata byte-identical: {csv_identical}, "
-                   f"Monte Carlo report identical across 1 vs 4 workers: "
-                   f"{mc_identical}")
+                   f"Monte Carlo report identical across 1, 2 and 4 "
+                   f"workers: {mc_identical}")

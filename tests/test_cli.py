@@ -35,6 +35,8 @@ from mmjoint.optimizers import (
     wsse_arrays,
 )
 
+from conftest import use_cpus
+
 SMALL_CONFIG = {
     "scenario": {
         "n_antennas": 64,
@@ -51,7 +53,7 @@ SMALL_CONFIG = {
         "seed": 9,
     },
     "sweep": {"n_points": 5, "antenna_counts": [32, 64]},
-    "montecarlo": {"n_realizations": 300, "seed": 3, "n_workers": 1},
+    "montecarlo": {"n_realizations": 300, "seed": 3},
     "output": {"directory": "out"},
 }
 
@@ -143,8 +145,8 @@ class TestConfigLoading:
         ("montecarlo", "n_realizations", 150.7, "montecarlo.n_realizations"),
         ("montecarlo", "seed", 1.5, "montecarlo.seed"),
         ("montecarlo", "seed", -1, "montecarlo.seed"),
-        ("montecarlo", "n_workers", 0, "montecarlo.n_workers"),
-        ("montecarlo", "n_workers", -3, "montecarlo.n_workers"),
+        # the Monte Carlo runs on the CPUs the process may use
+        ("montecarlo", "n_workers", 1, "montecarlo.n_workers"),
         ("montecarlo", "unicast_power_fraction", float("nan"),
          "montecarlo.unicast_power_fraction"),
         ("physical", "bandwidth_hz", -1, "physical"),
@@ -209,13 +211,6 @@ class TestConfigLoading:
         assert err["error"] == "config"
         assert err["field"] == field
         assert not (tmp_path / "run").exists()
-
-    def test_default_workers_are_the_usable_cpus(self):
-        raw = json.loads(json.dumps(SMALL_CONFIG))
-        del raw["montecarlo"]["n_workers"]
-        cfg = load_config(raw)
-        assert cfg.montecarlo["n_workers"] == len(os.sched_getaffinity(0))
-        assert "n_workers" not in cfg.provenance()["montecarlo"]
 
     def test_provenance_carries_filled_defaults(self):
         raw = json.loads(json.dumps(SMALL_CONFIG))
@@ -434,6 +429,29 @@ class TestSolverCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("given_by", ["--out", "output.directory"])
+    def test_unusable_output_directory_exits_2_naming_it(
+            self, tmp_path, capsys, under, given_by):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = str(blocker / "sub" if under else blocker)
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        argv = ["oracle-check"]
+        if given_by == "--out":
+            argv += ["--out", out]
+        else:
+            raw["output"]["directory"] = out
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main([*argv, "--config", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["field"]) == ("config", given_by)
+        assert blocker.read_text() == "kept"
+
 
 def normalized_config(tmp_path, total_dl_power):
     raw = json.loads(json.dumps(SMALL_CONFIG))
@@ -506,8 +524,9 @@ class TestPowerBudgetBounds:
         # Monte Carlo starts a chunk
         path = Path(budget_config(tmp_path, 1e200, 10.0))
         raw = json.loads(path.read_text())
-        raw["montecarlo"].update(n_realizations=20000, n_workers=2)
+        raw["montecarlo"]["n_realizations"] = 20000
         path.write_text(json.dumps(raw))
+        use_cpus(monkeypatch, 2)
         run_chunk, calls = montecarlo._run_chunk, []
 
         def counted(*args):
@@ -548,34 +567,31 @@ class TestWriteJson:
 
 class TestValidate:
     def test_report_written_and_parallel_identical(self, config_path,
-                                                   tmp_path):
+                                                   tmp_path, monkeypatch):
         outs = []
-        for workers, name in ((1, "a"), (4, "b")):
-            raw = json.loads(json.dumps(SMALL_CONFIG))
-            raw["montecarlo"]["n_workers"] = workers
-            cfg_path = tmp_path / f"cfg_{name}.json"
-            cfg_path.write_text(json.dumps(raw))
-            out = tmp_path / name
-            assert main(["validate", "--config", str(cfg_path),
+        for cpus in (1, 2, 4):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            assert main(["validate", "--config", config_path,
                          "--out", str(out)]) == 0
             outs.append((out / "montecarlo_report.json").read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
         report = json.loads(outs[0])["report"]
         assert report["n_realizations"] == 300
         assert len(report["unicast"]) == 2
         assert len(report["multicast"]) == 2
 
-    def test_default_workers_write_the_one_worker_report(self, tmp_path):
+    def test_default_workers_write_the_one_worker_report(self, config_path,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # the first run takes the CPU set of the process as it is
         outs = []
-        for name, workers in (("default", {}), ("one", {"n_workers": 1})):
-            raw = json.loads(json.dumps(SMALL_CONFIG))
-            raw["montecarlo"] = {"n_realizations": 300, "seed": 3, **workers}
-            cfg_path = tmp_path / f"cfg_{name}.json"
-            cfg_path.write_text(json.dumps(raw))
+        for name in ("default", "one"):
             out = tmp_path / name
-            assert main(["validate", "--config", str(cfg_path),
+            assert main(["validate", "--config", config_path,
                          "--out", str(out)]) == 0
             outs.append((out / "montecarlo_report.json").read_bytes())
+            use_cpus(monkeypatch, 1)
         assert outs[0] == outs[1]
 
     def test_report_does_not_depend_on_the_blas_thread_count(self,
@@ -1022,7 +1038,8 @@ class TestFloatingPointErrors:
             solve(cfg.system(), cfg.profile)
         assert np.geterr() == before
 
-    def test_monte_carlo_raises_at_a_huge_power(self, tmp_path):
+    def test_monte_carlo_raises_at_a_huge_power(self, tmp_path,
+                                                monkeypatch):
         cfg = load_config_file(budget_config(tmp_path, 1e200, 10.0))
         system, profile = cfg.system(), cfg.profile
         half = 0.5 * system.total_dl_power
@@ -1031,10 +1048,10 @@ class TestFloatingPointErrors:
         alloc = PowerAllocation(p_dl=wsse.p_dl, q_dl=mmf.q_dl,
                                 p_up=wsse.p_up, q_up=mmf.q_up,
                                 tau=system.n_pilots)
+        use_cpus(monkeypatch, 2)
         before = np.geterr()
         with pytest.raises(FloatingPointError):
-            montecarlo.empirical_sinr(system, profile, alloc, 300, seed=3,
-                                      n_workers=2)
+            montecarlo.empirical_sinr(system, profile, alloc, 300, seed=3)
         assert np.geterr() == before
 
 

@@ -25,7 +25,7 @@ from mmjoint.montecarlo import (
 from mmjoint.optimizers import solve_mmf, solve_wsse
 from mmjoint.scenario import LargeScaleProfile
 
-from conftest import make_system
+from conftest import make_system, use_cpus
 
 
 @pytest.fixture
@@ -300,18 +300,21 @@ class TestEmpiricalSinr:
             assert user.sinr_empirical == 0.0
 
     def test_parallel_runs_are_bit_identical(self, config, profile, alloc,
-                                             three_groups):
+                                             three_groups, monkeypatch):
         for scenario in ((config, profile, alloc), three_groups):
-            seq = empirical_sinr(*scenario, 1500, seed=21, n_workers=1)
-            par = empirical_sinr(*scenario, 1500, seed=21, n_workers=4)
-            assert seq.to_dict() == par.to_dict()
+            reports = []
+            for cpus in (1, 2, 4):
+                use_cpus(monkeypatch, cpus)
+                reports.append(empirical_sinr(*scenario, 1500,
+                                              seed=21).to_dict())
+            assert reports[0] == reports[1] == reports[2]
 
     def test_report_dict_is_asdict(self, config, profile, alloc,
                                    three_groups):
         # the report keeps columns; each row of to_dict() is asdict of the
         # UserSinrBreakdown built from them
         for scenario in ((config, profile, alloc), three_groups):
-            report = empirical_sinr(*scenario, 200, seed=26, n_workers=1)
+            report = empirical_sinr(*scenario, 200, seed=26)
             d = report.to_dict()
             assert d == {"n_realizations": 200, "seed": 26,
                          "unicast": list(map(dataclasses.asdict,
@@ -321,9 +324,11 @@ class TestEmpiricalSinr:
             assert d["multicast"][0]["index"] == (0, 0)
             assert type(d["unicast"][1]["index"]) is tuple
 
-    def test_no_worker_outlives_the_call(self, config, profile, alloc):
+    def test_no_worker_outlives_the_call(self, config, profile, alloc,
+                                         monkeypatch):
+        use_cpus(monkeypatch, 4)
         threads_before = threading.active_count()
-        empirical_sinr(config, profile, alloc, 1500, seed=22, n_workers=4)
+        empirical_sinr(config, profile, alloc, 1500, seed=22)
         assert threading.active_count() == threads_before
         assert multiprocessing.active_children() == []
 
@@ -347,12 +352,13 @@ class TestEmpiricalSinr:
             return sums
 
         monkeypatch.setattr(montecarlo, "_run_chunk", counted)
+        use_cpus(monkeypatch, 1)
 
         def peak(n_chunks):
             tracemalloc.start()
             try:
                 empirical_sinr(config, profile, alloc, 100 * n_chunks,
-                               seed=23, n_workers=1)
+                               seed=23)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -394,23 +400,69 @@ class TestEmpiricalSinr:
             return run_chunk(*args)
 
         monkeypatch.setattr(montecarlo, "_run_chunk", first_chunk_waits)
-        report = empirical_sinr(config, profile, alloc, 100, seed=25,
-                                n_workers=2)
+        use_cpus(monkeypatch, 2)
+        report = empirical_sinr(config, profile, alloc, 100, seed=25)
         assert started_before_first_returned[0] <= window
         assert sorted(started) == list(range(0, 100, 5))
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
-        one = empirical_sinr(config, profile, alloc, 100, seed=25, n_workers=1)
+        use_cpus(monkeypatch, 1)
+        one = empirical_sinr(config, profile, alloc, 100, seed=25)
         assert report.to_dict() == one.to_dict()
 
-    def test_default_workers_are_the_usable_cpus(self, config, profile, alloc,
-                                                 monkeypatch):
+    @pytest.mark.parametrize("cpus", [None, 3], ids=["affinity", "three"])
+    def test_one_pool_of_usable_cpus_workers(self, config, profile, alloc,
+                                             monkeypatch, cpus):
+        # 20 chunks, more than any window, so an unbounded pool would start
+        # a thread for each chunk submitted while none is idle
+        if cpus is not None:
+            use_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 5)
+        pools = []
+
+        class Recording(montecarlo.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.asked = max_workers
+                pools.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                self.started = len(self._threads)
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        empirical_sinr(config, profile, alloc, 100, seed=24)
+        [pool] = pools
+        assert pool.asked == montecarlo.usable_cpus()
+        assert 1 <= pool.started <= montecarlo.usable_cpus()
+
+    def test_usable_cpus_are_the_affinity_set(self, monkeypatch):
         assert montecarlo.usable_cpus() == len(os.sched_getaffinity(0))
-        default = empirical_sinr(config, profile, alloc, 300, seed=24)
-        one = empirical_sinr(config, profile, alloc, 300, seed=24, n_workers=1)
-        assert default.to_dict() == one.to_dict()
         # without an affinity call the CPU count is used
         monkeypatch.delattr(os, "sched_getaffinity")
         assert montecarlo.usable_cpus() == os.cpu_count()
+
+    def test_chunk_ranges_are_made_on_demand(self, config, profile, alloc,
+                                             monkeypatch):
+        # one realization per chunk and no work in a chunk: a list of every
+        # chunk's range, made before the first chunk runs, would grow the
+        # peak by about 120 bytes per chunk, 600 KB at 5000 chunks
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1)
+        monkeypatch.setattr(
+            montecarlo, "_run_chunk",
+            lambda cond, seed, indices: np.zeros((4, config.n_pilots)))
+        use_cpus(monkeypatch, 1)
+
+        def peak(n_chunks):
+            tracemalloc.start()
+            try:
+                empirical_sinr(config, profile, alloc, n_chunks, seed=27)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-call allocations are not counted
+        few = peak(500)
+        assert peak(5000) < few + 100_000
 
 
 class TestSinrRelativeError:
@@ -441,7 +493,8 @@ class TestSubstream:
             return rng
 
         monkeypatch.setattr(montecarlo, "_substream", recording)
-        empirical_sinr(config, profile, alloc, n, seed=seed, n_workers=1)
+        use_cpus(monkeypatch, 1)  # the chunks are called in order
+        empirical_sinr(config, profile, alloc, n, seed=seed)
         assert [i for i, _ in calls] == [0, 40, 80]
 
         for i, state in calls:
@@ -457,9 +510,11 @@ class TestSubstream:
                                                       monkeypatch):
         # three chunks, the last one partial
         monkeypatch.setattr(montecarlo, "_CHUNK", 40)
-        reports = [empirical_sinr(*three_groups, 100, seed=30,
-                                  n_workers=workers).to_dict()
-                   for workers in (1, 2, 3)]
+        reports = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            reports.append(empirical_sinr(*three_groups, 100,
+                                          seed=30).to_dict())
         assert reports[0] == reports[1] == reports[2]
 
 
@@ -646,7 +701,7 @@ class TestSufficientDraw:
         config, profile, alloc = three_groups
         stats = EstimationStats.from_allocation(alloc, profile)
         cond = montecarlo._Conditioning.of(config, profile, alloc, stats)
-        report = empirical_sinr(*three_groups, n, seed=seed, n_workers=1)
+        report = empirical_sinr(*three_groups, n, seed=seed)
         rng = np.random.Generator(np.random.SFC64(
             np.random.SeedSequence(seed, spawn_key=(0,))))
         x = cond.one_plus_snr * rng.standard_gamma(
@@ -688,14 +743,17 @@ class TestSufficientDraw:
         assert peak(512) < 1.25 * peak(64)
 
     def test_partial_batch_is_bit_identical_across_workers(self,
-                                                           three_groups):
+                                                           three_groups,
+                                                           monkeypatch):
         # the second chunk of 1001 realizations ends in a partial batch
         n = 1001
         assert (n % montecarlo._CHUNK) % montecarlo._BATCH != 0
-        one, two, four = (
-            empirical_sinr(*three_groups, n, seed=46, n_workers=workers)
-            for workers in (1, 2, 4))
-        assert one.to_dict() == two.to_dict() == four.to_dict()
+        reports = []
+        for cpus in (1, 2, 4):
+            use_cpus(monkeypatch, cpus)
+            reports.append(empirical_sinr(*three_groups, n,
+                                          seed=46).to_dict())
+        assert reports[0] == reports[1] == reports[2]
 
     def test_high_pilot_snr_clamps_the_conditional_variance(self):
         # a single-member group with s = tau q eta = 7e16: fading - a^2 (1+s)
@@ -710,8 +768,7 @@ class TestSufficientDraw:
         assert 0.7 - a * a * (1.0 + s) < 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = empirical_sinr(config, profile, alloc, 2000, seed=44,
-                                    n_workers=1)
+            report = empirical_sinr(config, profile, alloc, 2000, seed=44)
         member = report.multicast[0]
         assert math.isfinite(member.self_interference)
         assert abs(member.desired_power - member.desired_power_analytic) \
@@ -747,8 +804,7 @@ class TestAnalyticFieldsMatchClosedForm:
     def test_sinr_and_desired_power(self, scenario, request):
         config, profile, alloc = request.getfixturevalue(scenario)
         report = empirical_sinr(config, profile, alloc,
-                                montecarlo.MIN_REALIZATIONS, seed=5,
-                                n_workers=1)
+                                montecarlo.MIN_REALIZATIONS, seed=5)
         closed = evaluate(config, alloc, profile)
         stats = EstimationStats.from_allocation(alloc, profile)
         N = config.n_antennas
@@ -804,8 +860,7 @@ class TestConditionalMeanCalibration:
         config, profile, alloc = small_config
         z = []
         for seed in range(100):
-            report = empirical_sinr(config, profile, alloc, 200, seed=seed,
-                                    n_workers=1)
+            report = empirical_sinr(config, profile, alloc, 200, seed=seed)
             users = report.unicast + report.multicast
             z.append([[(u.desired_power - u.desired_power_analytic)
                        / u.desired_power_se for u in users],
@@ -823,8 +878,7 @@ class TestConditionalMeanCalibration:
         config, profile, alloc = small_config
         z = []
         for seed in range(100):
-            report = empirical_sinr(config, profile, alloc, 200, seed=seed,
-                                    n_workers=1)
+            report = empirical_sinr(config, profile, alloc, 200, seed=seed)
             z.append([(u.self_interference + u.same_service_interference
                        - u.same_service_analytic)
                       / math.hypot(u.self_interference_se,
@@ -841,8 +895,7 @@ class TestConditionalMeanCalibration:
         config, profile, alloc = _small_scenario(n_antennas)
         z = []
         for seed in range(100):
-            report = empirical_sinr(config, profile, alloc, 200, seed=seed,
-                                    n_workers=1)
+            report = empirical_sinr(config, profile, alloc, 200, seed=seed)
             users = report.unicast + report.multicast
             z.append([[(u.desired_power - u.desired_power_analytic)
                        / u.desired_power_se for u in users],
