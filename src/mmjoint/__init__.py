@@ -14,7 +14,6 @@ from .closed_form import (  # noqa: F401
 )
 from .montecarlo import (  # noqa: F401
     MonteCarloReport,
-    UserSinrBreakdown,
     empirical_sinr,
 )
 from .optimizers import (  # noqa: F401

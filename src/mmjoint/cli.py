@@ -174,8 +174,9 @@ _FIELDS = {
             0.5),
     },
     "output": {
-        "directory": ((lambda v: isinstance(v, str) and v != "",
-                       "a nonempty string"), "out"),
+        "directory": ((lambda v: isinstance(v, str) and v != ""
+                       and "\0" not in v,
+                       "a nonempty string without a NUL character"), "out"),
     },
 }
 
@@ -218,7 +219,6 @@ class ExperimentConfig:
     montecarlo: dict
     output: dict
     base_system: SystemConfig
-    geometry: CellGeometry
     profile: LargeScaleProfile
 
     @property
@@ -361,7 +361,7 @@ def load_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
 
     return ExperimentConfig(
         scenario=sc, sweep=sweep, montecarlo=mc, output=out,
-        base_system=system, geometry=geometry, profile=profile,
+        base_system=system, profile=profile,
     )
 
 
@@ -369,10 +369,12 @@ def _read_raw_config(path: str | None) -> dict:
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG))
     p = Path(path)
-    if not p.is_file():
+    if not p.is_file():  # also keeps a FIFO or a device from being read
         raise ConfigError("<config>", f"config file not found: {path}")
     try:
         return json.loads(p.read_text(encoding="utf-8"))
+    except OSError as exc:  # e.g. no permission, or an I/O error
+        raise ConfigError("<config>", f"cannot read the config file: {exc}")
     # ValueError: invalid JSON, text that is not UTF-8 or an integer past
     # Python's digit limit; RecursionError: nesting past the parser's depth
     except (ValueError, RecursionError) as exc:
@@ -827,13 +829,12 @@ def main(argv=None) -> int:
         out_dir = Path(args.out or cfg.output["directory"])
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError("--out" if args.out else "output.directory",
-                              f"cannot make the output directory: {exc}")
-        try:
             return args.handler(cfg, args, out_dir)
         except FloatingPointError:  # an overflow, e.g. from a huge power
             raise ConfigError("scenario", _NON_FINITE)
+        except OSError as exc:  # the directory or a file in it is unusable
+            raise ConfigError("--out" if args.out else "output.directory",
+                              f"cannot write the output: {exc}")
     except ConfigError as exc:
         print(json.dumps({"error": "config", "field": exc.field,
                           "message": exc.message}), file=sys.stderr)

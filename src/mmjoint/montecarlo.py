@@ -47,11 +47,10 @@ Finished chunks are folded into the running total in chunk order as they
 arrive.  At most two chunks per worker are in flight (submitted and not yet
 folded), so chunks that finish ahead of their turn cannot pile up with their
 sums.  The report holds each per-user field as two lists, the unicast and
-multicast slices of one array; no ``UserSinrBreakdown`` is built until its
-rows are read.  One worker thread runs per CPU the process may use
-(``usable_cpus``); restricting the process's CPU set (``taskset``, a cpuset)
-runs fewer.  A chunk builds its generator once; the gamma fills, most of a
-chunk's time, run without the GIL.  No step calls BLAS, so the BLAS
+multicast slices of one array.  One worker thread runs per CPU the process
+may use (``usable_cpus``); restricting the process's CPU set (``taskset``, a
+cpuset) runs fewer.  A chunk builds its generator once; the gamma fills,
+most of a chunk's time, run without the GIL.  No step calls BLAS, so the BLAS
 thread count changes neither the result nor the speed.  A chunk touches no
 power, so a huge power cannot overflow there; it overflows the squared
 entry powers (fading_k G_c^2)^2, which raises ``FloatingPointError`` before
@@ -225,74 +224,37 @@ def mrt_precoders(
 
 
 @dataclass
-class UserSinrBreakdown:
-    """Empirical vs analytic SINR decomposition for a single user.
-
-    The desired power is |E[h^H w]|^2; ``self_interference`` is the variance
-    of the effective channel coefficient; the interference fields are mean
-    received powers from the other precoders, grouped into the user's own
-    service and the other service.  Each is averaged from its mean given the
-    pilot observations, a polynomial in their norms (see the module
-    docstring); the SEs of the desired power and the self-interference are
-    delta-method spreads over those norms.
-    """
-
-    service: str  # "unicast" or "multicast"
-    index: tuple  # (m,) or (group, member)
-    desired_power: float
-    desired_power_analytic: float
-    desired_power_se: float
-    self_interference: float
-    self_interference_se: float
-    same_service_interference: float
-    same_service_interference_se: float
-    cross_service_interference: float
-    cross_service_interference_se: float
-    same_service_analytic: float
-    cross_service_analytic: float
-    sinr_empirical: float
-    sinr_analytic: float
-
-    @property
-    def sinr_relative_error(self) -> float:
-        if self.sinr_analytic == 0.0:
-            return abs(self.sinr_empirical)
-        return abs(self.sinr_empirical - self.sinr_analytic) / self.sinr_analytic
-
-
-@dataclass
 class MonteCarloReport:
-    """Every user's ``UserSinrBreakdown`` fields, kept as columns.
+    """Every user's empirical and analytic SINR decomposition, as columns.
 
     ``columns`` maps each service, "unicast" and "multicast", to its table:
-    each field name of ``UserSinrBreakdown`` to a list of one value per user
-    of that service, in user order.  The rows ``unicast`` and ``multicast``
-    are built from the columns the first time they are read, then cached.
+    each field name to a list of one value per user of that service, in
+    user order.  The fields are:
+
+    - ``service``: "unicast" or "multicast";
+    - ``index``: (m,) for unicast user m, (group, member) for a member;
+    - ``desired_power``, ``desired_power_se``: |E[h^H w]|^2, with w the
+      user's own precoder;
+    - ``self_interference``, ``self_interference_se``: the variance of the
+      effective channel coefficient;
+    - ``same_service_interference``, ``same_service_interference_se``: the
+      mean received power from the other precoders of the user's service;
+    - ``cross_service_interference``, ``cross_service_interference_se``:
+      the mean received power from the other service's precoders;
+    - ``desired_power_analytic``, ``same_service_analytic`` (the
+      self-interference and same-service interference together) and
+      ``cross_service_analytic``: their closed forms;
+    - ``sinr_empirical`` and ``sinr_analytic``.
+
+    Each empirical term is averaged from its mean given the pilot
+    observations, a polynomial in their norms (see the module docstring);
+    the SEs of the desired power and the self-interference are delta-method
+    spreads over those norms.
     """
 
     n_realizations: int
     seed: int
     columns: dict
-
-    def _row_dicts(self, service: str) -> list:
-        table = self.columns[service]
-        return [dict(zip(table, values)) for values in zip(*table.values())]
-
-    @functools.cached_property
-    def unicast(self) -> list:
-        return [UserSinrBreakdown(**row) for row in self._row_dicts("unicast")]
-
-    @functools.cached_property
-    def multicast(self) -> list:
-        return [UserSinrBreakdown(**row)
-                for row in self._row_dicts("multicast")]
-
-    def to_dict(self) -> dict:
-        """The report with each service as the list of its rows'
-        ``dataclasses.asdict``, built from the columns."""
-        return {"n_realizations": self.n_realizations, "seed": self.seed,
-                "unicast": self._row_dicts("unicast"),
-                "multicast": self._row_dicts("multicast")}
 
 
 def _substream(seed: int, i: int) -> np.random.Generator:
@@ -408,8 +370,8 @@ def _own_terms(mean, spread, x1, x2, x3, x4, n: int):
 
 def _breakdowns(config, profile, alloc, stats, cond, sums, n: int):
     """Turn the ``_run_chunk`` sums of n realizations into per-user
-    empirical/analytic terms: ``MonteCarloReport.columns``, the fields of
-    ``UserSinrBreakdown`` per service.
+    empirical/analytic terms: ``MonteCarloReport.columns``, the one place
+    that defines its fields.
 
     Every array has one entry per user, unicast users first, then the group
     members in member order; each column is a slice of one of them.

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,18 @@ def use_cpus(monkeypatch, n: int):
     """Run the Monte Carlo on ``n`` workers, as a process whose CPU set holds
     ``n`` CPUs does."""
     monkeypatch.setattr(montecarlo, "usable_cpus", lambda: n)
+
+
+def per_user(report):
+    """The numeric fields of a Monte Carlo report, each as one array over
+    every user, the unicast users first: ``per_user(report).sinr_analytic``
+    joins ``report.columns[service]["sinr_analytic"]`` of both services."""
+    unicast, multicast = (report.columns[service]
+                          for service in ("unicast", "multicast"))
+    return SimpleNamespace(**{field: np.array(unicast[field]
+                                              + multicast[field])
+                              for field in unicast
+                              if field not in ("service", "index")})
 
 
 def make_system(

@@ -34,6 +34,7 @@ from mmjoint.optimizers import (
     solve_wsse,
     wsse_arrays,
 )
+from mmjoint.scenario import large_scale_fading
 
 from conftest import use_cpus
 
@@ -114,7 +115,10 @@ class TestConfigLoading:
         raw["scenario"]["unicast_distances"] = [100.0, 200.0]
         raw["scenario"]["multicast_distances"] = [[150.0, 400.0]]
         cfg = load_config(raw)
-        assert cfg.geometry.unicast_distances == [100.0, 200.0]
+        assert cfg.profile.beta == [large_scale_fading(100.0),
+                                    large_scale_fading(200.0)]
+        assert cfg.profile.eta.tolist() == [[large_scale_fading(150.0),
+                                             large_scale_fading(400.0)]]
 
     @pytest.mark.parametrize("key, value", [
         ("unicast_weights", [1.0, -1.0]),
@@ -165,6 +169,7 @@ class TestConfigLoading:
         ("scenario", "unicast_weights", 2.0, "scenario.unicast_weights"),
         ("scenario", "unicast_distances", 100.0, "scenario.unicast_distances"),
         ("output", "directory", 5, "output.directory"),
+        ("output", "directory", "a\0b", "output.directory"),
         ("scenario", "n_antennas", 64.5, "scenario.n_antennas"),
         ("scenario", "coherence_symbols", 2.5, "scenario.coherence_symbols"),
         ("scenario", "n_groups", 1.5, "scenario.n_groups"),
@@ -429,14 +434,19 @@ class TestSolverCommands:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
 
-    @pytest.mark.parametrize("under", [False, True],
-                             ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("blocked", ["a-file", "under-a-file",
+                                         "report-is-a-directory"])
     @pytest.mark.parametrize("given_by", ["--out", "output.directory"])
     def test_unusable_output_directory_exits_2_naming_it(
-            self, tmp_path, capsys, under, given_by):
+            self, tmp_path, capsys, blocked, given_by):
+        # the directory cannot be made, or the report cannot replace what
+        # its name holds
         blocker = tmp_path / "file"
         blocker.write_text("kept")
-        out = str(blocker / "sub" if under else blocker)
+        taken = tmp_path / "out" / "oracle_report.json"
+        taken.mkdir(parents=True)
+        out = str({"a-file": blocker, "under-a-file": blocker / "sub",
+                   "report-is-a-directory": taken.parent}[blocked])
         raw = json.loads(json.dumps(SMALL_CONFIG))
         argv = ["oracle-check"]
         if given_by == "--out":
@@ -451,6 +461,7 @@ class TestSolverCommands:
         err = json.loads(lines[0])
         assert (err["error"], err["field"]) == ("config", given_by)
         assert blocker.read_text() == "kept"
+        assert taken.is_dir() and list(taken.parent.iterdir()) == [taken]
 
 
 def normalized_config(tmp_path, total_dl_power):
@@ -616,8 +627,8 @@ class TestValidate:
             reports.append((out / "montecarlo_report.json").read_bytes())
         assert reports[0] == reports[1]
 
-    def test_report_block_is_the_report_dict_and_builds_no_row(
-            self, tmp_path, monkeypatch):
+    def test_report_block_is_the_rows_of_the_columns(self, tmp_path,
+                                                     monkeypatch):
         raw = json.loads(json.dumps(SMALL_CONFIG))
         raw["scenario"].update(n_unicast=3, n_groups=3, group_sizes=[2, 1, 3])
         path = tmp_path / "three_groups.json"
@@ -628,27 +639,22 @@ class TestValidate:
             calls.append((args, kwargs))
             return montecarlo.empirical_sinr(*args, **kwargs)
 
-        built = []
-        init = montecarlo.UserSinrBreakdown.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
-
         monkeypatch.setattr(cli, "empirical_sinr", recorded)
-        monkeypatch.setattr(montecarlo.UserSinrBreakdown, "__init__", counted)
         assert main(["validate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 0
-        assert built == []
         written = tmp_path / "out" / "montecarlo_report.json"
         block = json.loads(written.read_text())["report"]
         [(args, kwargs)] = calls
         report = montecarlo.empirical_sinr(*args, **kwargs)
         assert kwargs["seed"] == 3
+        rows = {service: [dict(zip(table, values))
+                          for values in zip(*table.values())]
+                for service, table in report.columns.items()}
         # JSON reads the index tuples as lists
-        assert block == json.loads(json.dumps(report.to_dict()))
+        assert block == json.loads(json.dumps(
+            {"n_realizations": report.n_realizations, "seed": report.seed,
+             **rows}))
         assert [len(block[s]) for s in ("unicast", "multicast")] == [3, 6]
-        assert len(report.multicast) == len(built) == 6
 
 
 def series_text(points_by_n: dict) -> dict:
@@ -964,6 +970,27 @@ class TestConfigRejections:
         err = json.loads(capsys.readouterr().err)
         assert err["field"] == "<config>"
         assert err["message"].startswith("invalid JSON")
+
+    def test_unreadable_file_names_the_config(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a file the process may not read; permission bits cannot make one
+        # for a process that runs as root
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SMALL_CONFIG))
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        out = tmp_path / "run"
+        assert main(["validate", "--config", str(path), "--out",
+                     str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert (err["error"], err["field"]) == ("config", "<config>")
+        assert "Permission denied" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"scenario": '
                                       + b"[" * 100_000 + b"]" * 100_000

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import multiprocessing
 import os
@@ -25,7 +24,7 @@ from mmjoint.montecarlo import (
 from mmjoint.optimizers import solve_mmf, solve_wsse
 from mmjoint.scenario import LargeScaleProfile
 
-from conftest import make_system, use_cpus
+from conftest import make_system, per_user, use_cpus
 
 
 @pytest.fixture
@@ -268,36 +267,47 @@ class TestEmpiricalSinr:
             empirical_sinr(config, profile, alloc, 50, seed=0)
 
     def test_matches_analytic_sinr(self, config, profile, alloc):
-        report = empirical_sinr(config, profile, alloc, 4000, seed=17)
-        for user in report.unicast + report.multicast:
-            assert user.sinr_relative_error < 0.05
+        u = per_user(empirical_sinr(config, profile, alloc, 4000, seed=17))
+        assert np.all(u.sinr_analytic > 0.0)
+        assert np.all(np.abs(u.sinr_empirical - u.sinr_analytic)
+                      / u.sinr_analytic < 0.05)
 
     def test_desired_coefficient(self, config, profile, alloc):
         stats = EstimationStats.from_allocation(alloc, profile)
-        report = empirical_sinr(config, profile, alloc, 4000, seed=18)
-        for m, user in enumerate(report.unicast):
+        unicast = empirical_sinr(config, profile, alloc, 4000,
+                                 seed=18).columns["unicast"]
+        for m, (desired, se) in enumerate(zip(unicast["desired_power"],
+                                              unicast["desired_power_se"])):
             expected = config.n_antennas * alloc.p_dl[m] * stats.vartheta[m]
-            assert abs(user.desired_power - expected) < 3 * user.desired_power_se
+            assert abs(desired - expected) < 3 * se
 
     def test_decomposition_terms(self, config, profile, alloc):
-        report = empirical_sinr(config, profile, alloc, 4000, seed=19)
-        for user in report.unicast + report.multicast:
-            own = user.self_interference + user.same_service_interference
-            tol = 3 * math.sqrt(user.self_interference_se**2
-                                + user.same_service_interference_se**2)
-            assert abs(own - user.same_service_analytic) < tol
-            assert (
-                abs(user.cross_service_interference
-                    - user.cross_service_analytic)
-                < 3 * user.cross_service_interference_se
-            )
+        u = per_user(empirical_sinr(config, profile, alloc, 4000, seed=19))
+        own = u.self_interference + u.same_service_interference
+        tol = 3 * np.sqrt(u.self_interference_se**2
+                          + u.same_service_interference_se**2)
+        assert np.all(np.abs(own - u.same_service_analytic) < tol)
+        assert np.all(
+            np.abs(u.cross_service_interference - u.cross_service_analytic)
+            < 3 * u.cross_service_interference_se
+        )
 
     def test_zero_downlink_power_zero_sinr(self, config, profile):
         alloc = PowerAllocation(p_dl=[0.0, 0.0], q_dl=[0.0],
                                 p_up=[2.0, 2.0], q_up=[[1.5, 2.5]], tau=3)
         report = empirical_sinr(config, profile, alloc, 200, seed=20)
-        for user in report.unicast + report.multicast:
-            assert user.sinr_empirical == 0.0
+        assert np.all(per_user(report).sinr_empirical == 0.0)
+
+    def test_service_and_index_columns(self, three_groups):
+        columns = empirical_sinr(*three_groups, 100, seed=26).columns
+        assert columns["unicast"]["service"] == ["unicast"] * 2
+        assert columns["unicast"]["index"] == [(0,), (1,)]
+        assert columns["multicast"]["service"] == ["multicast"] * 6
+        assert columns["multicast"]["index"] == [
+            (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
+        # every column holds one value per user
+        for service, n_users in (("unicast", 2), ("multicast", 6)):
+            assert {len(v) for v in columns[service].values()} == {n_users}
 
     def test_parallel_runs_are_bit_identical(self, config, profile, alloc,
                                              three_groups, monkeypatch):
@@ -305,24 +315,9 @@ class TestEmpiricalSinr:
             reports = []
             for cpus in (1, 2, 4):
                 use_cpus(monkeypatch, cpus)
-                reports.append(empirical_sinr(*scenario, 1500,
-                                              seed=21).to_dict())
+                reports.append(empirical_sinr(*scenario, 1500, seed=21))
+            # report equality: n_realizations, seed and columns
             assert reports[0] == reports[1] == reports[2]
-
-    def test_report_dict_is_asdict(self, config, profile, alloc,
-                                   three_groups):
-        # the report keeps columns; each row of to_dict() is asdict of the
-        # UserSinrBreakdown built from them
-        for scenario in ((config, profile, alloc), three_groups):
-            report = empirical_sinr(*scenario, 200, seed=26)
-            d = report.to_dict()
-            assert d == {"n_realizations": 200, "seed": 26,
-                         "unicast": list(map(dataclasses.asdict,
-                                             report.unicast)),
-                         "multicast": list(map(dataclasses.asdict,
-                                               report.multicast))}
-            assert d["multicast"][0]["index"] == (0, 0)
-            assert type(d["unicast"][1]["index"]) is tuple
 
     def test_no_worker_outlives_the_call(self, config, profile, alloc,
                                          monkeypatch):
@@ -407,7 +402,7 @@ class TestEmpiricalSinr:
         monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
         use_cpus(monkeypatch, 1)
         one = empirical_sinr(config, profile, alloc, 100, seed=25)
-        assert report.to_dict() == one.to_dict()
+        assert report == one
 
     @pytest.mark.parametrize("cpus", [None, 3], ids=["affinity", "three"])
     def test_one_pool_of_usable_cpus_workers(self, config, profile, alloc,
@@ -465,18 +460,6 @@ class TestEmpiricalSinr:
         assert peak(5000) < few + 100_000
 
 
-class TestSinrRelativeError:
-    def test_zero_analytic_sinr_gives_the_empirical_sinr(self, config,
-                                                         profile):
-        alloc = PowerAllocation(p_dl=[0.0, 0.0], q_dl=[0.0],
-                                p_up=[2.0, 2.0], q_up=[[1.5, 2.5]], tau=3)
-        user = empirical_sinr(config, profile, alloc, 100, seed=26).unicast[0]
-        assert user.sinr_analytic == 0.0
-        assert user.sinr_relative_error == 0.0
-        user = dataclasses.replace(user, sinr_empirical=0.25)
-        assert user.sinr_relative_error == 0.25
-
-
 class TestSubstream:
     def test_each_chunk_draws_from_the_sfc64_substream_of_its_start(
             self, config, profile, alloc, monkeypatch):
@@ -513,8 +496,7 @@ class TestSubstream:
         reports = []
         for cpus in (1, 2, 3):
             use_cpus(monkeypatch, cpus)
-            reports.append(empirical_sinr(*three_groups, 100,
-                                          seed=30).to_dict())
+            reports.append(empirical_sinr(*three_groups, 100, seed=30))
         assert reports[0] == reports[1] == reports[2]
 
 
@@ -711,12 +693,12 @@ class TestSufficientDraw:
         expected = montecarlo._own_terms(
             cond.own_mean, cond.own_spread,
             *(m[cond.own_col] for m in moments), n)
-        users = report.unicast + report.multicast
+        u = per_user(report)
         for name, values in zip(("desired_power", "desired_power_se",
                                  "self_interference", "self_interference_se"),
                                 expected):
-            np.testing.assert_allclose([getattr(u, name) for u in users],
-                                       values, rtol=1e-9, err_msg=name)
+            np.testing.assert_allclose(getattr(u, name), values, rtol=1e-9,
+                                       err_msg=name)
 
     def test_chunk_working_set_does_not_grow_with_its_length(self):
         # 208 users on 12 pilots
@@ -751,8 +733,7 @@ class TestSufficientDraw:
         reports = []
         for cpus in (1, 2, 4):
             use_cpus(monkeypatch, cpus)
-            reports.append(empirical_sinr(*three_groups, n,
-                                          seed=46).to_dict())
+            reports.append(empirical_sinr(*three_groups, n, seed=46))
         assert reports[0] == reports[1] == reports[2]
 
     def test_high_pilot_snr_clamps_the_conditional_variance(self):
@@ -769,10 +750,10 @@ class TestSufficientDraw:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = empirical_sinr(config, profile, alloc, 2000, seed=44)
-        member = report.multicast[0]
-        assert math.isfinite(member.self_interference)
-        assert abs(member.desired_power - member.desired_power_analytic) \
-            < 3 * member.desired_power_se
+        u = per_user(report)  # the unicast user, then the member
+        assert math.isfinite(u.self_interference[1])
+        assert abs(u.desired_power[1] - u.desired_power_analytic[1]) \
+            < 3 * u.desired_power_se[1]
 
 
 SMALL_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -808,13 +789,14 @@ class TestAnalyticFieldsMatchClosedForm:
         closed = evaluate(config, alloc, profile)
         stats = EstimationStats.from_allocation(alloc, profile)
         N = config.n_antennas
-        assert [u.sinr_analytic for u in report.unicast] == \
-            closed.sinr_unicast
-        assert [u.desired_power_analytic for u in report.unicast] == [
+        unicast, multicast = (report.columns[service]
+                              for service in ("unicast", "multicast"))
+        assert unicast["sinr_analytic"] == closed.sinr_unicast
+        assert unicast["desired_power_analytic"] == [
             N * p * var for p, var in zip(alloc.p_dl, stats.vartheta)]
-        assert [u.sinr_analytic for u in report.multicast] == \
+        assert multicast["sinr_analytic"] == \
             closed.sinr_multicast.flat.tolist()
-        assert [u.desired_power_analytic for u in report.multicast] == [
+        assert multicast["desired_power_analytic"] == [
             N * q * var for q, xi in zip(alloc.q_dl, stats.xi) for var in xi]
 
 
@@ -832,23 +814,24 @@ class TestMultiSeedAgreement:
         alloc = PowerAllocation(p_dl=wsse.p_dl, q_dl=mmf.q_dl,
                                 p_up=wsse.p_up, q_up=mmf.q_up,
                                 tau=system.n_pilots)
-        report = empirical_sinr(system, cfg.profile, alloc, 2000, seed=seed)
-        users = report.unicast + report.multicast
-        z = NormalDist().inv_cdf(1 - 1e-3 / (2 * 3 * len(users)))
-        for u in users:
-            terms = {
-                "desired": (u.desired_power - u.desired_power_analytic,
-                            u.desired_power_se),
-                "own": (u.self_interference + u.same_service_interference
-                        - u.same_service_analytic,
-                        math.hypot(u.self_interference_se,
-                                   u.same_service_interference_se)),
-                "cross": (u.cross_service_interference
-                          - u.cross_service_analytic,
-                          u.cross_service_interference_se),
-            }
-            for term, (diff, se) in terms.items():
-                assert abs(diff) <= z * se, (u.service, u.index, term)
+        u = per_user(empirical_sinr(system, cfg.profile, alloc, 2000,
+                                    seed=seed))
+        z = NormalDist().inv_cdf(1 - 1e-3 / (2 * 3 * len(u.desired_power)))
+        terms = {
+            "desired": (u.desired_power - u.desired_power_analytic,
+                        u.desired_power_se),
+            "own": (u.self_interference + u.same_service_interference
+                    - u.same_service_analytic,
+                    np.hypot(u.self_interference_se,
+                             u.same_service_interference_se)),
+            "cross": (u.cross_service_interference
+                      - u.cross_service_analytic,
+                      u.cross_service_interference_se),
+        }
+        for term, (diff, se) in terms.items():
+            within = np.abs(diff) <= z * se
+            # the users out of bound, unicast users first
+            assert np.all(within), (term, np.flatnonzero(~within))
 
 
 class TestConditionalMeanCalibration:
@@ -860,13 +843,12 @@ class TestConditionalMeanCalibration:
         config, profile, alloc = small_config
         z = []
         for seed in range(100):
-            report = empirical_sinr(config, profile, alloc, 200, seed=seed)
-            users = report.unicast + report.multicast
-            z.append([[(u.desired_power - u.desired_power_analytic)
-                       / u.desired_power_se for u in users],
-                      [(u.cross_service_interference
-                        - u.cross_service_analytic)
-                       / u.cross_service_interference_se for u in users]])
+            u = per_user(empirical_sinr(config, profile, alloc, 200,
+                                        seed=seed))
+            z.append([(u.desired_power - u.desired_power_analytic)
+                      / u.desired_power_se,
+                      (u.cross_service_interference - u.cross_service_analytic)
+                      / u.cross_service_interference_se])
         spread = np.std(z, axis=0, ddof=1)
         assert np.all((spread >= 0.8) & (spread <= 1.2)), spread
 
@@ -878,12 +860,12 @@ class TestConditionalMeanCalibration:
         config, profile, alloc = small_config
         z = []
         for seed in range(100):
-            report = empirical_sinr(config, profile, alloc, 200, seed=seed)
-            z.append([(u.self_interference + u.same_service_interference
-                       - u.same_service_analytic)
-                      / math.hypot(u.self_interference_se,
-                                   u.same_service_interference_se)
-                      for u in report.unicast + report.multicast])
+            u = per_user(empirical_sinr(config, profile, alloc, 200,
+                                        seed=seed))
+            z.append((u.self_interference + u.same_service_interference
+                      - u.same_service_analytic)
+                     / np.hypot(u.self_interference_se,
+                                u.same_service_interference_se))
         spread = np.std(z, axis=0, ddof=1)
         assert np.all((spread >= 0.8) & (spread <= 1.2)), spread
 
@@ -895,15 +877,14 @@ class TestConditionalMeanCalibration:
         config, profile, alloc = _small_scenario(n_antennas)
         z = []
         for seed in range(100):
-            report = empirical_sinr(config, profile, alloc, 200, seed=seed)
-            users = report.unicast + report.multicast
-            z.append([[(u.desired_power - u.desired_power_analytic)
-                       / u.desired_power_se for u in users],
-                      [(u.self_interference + u.same_service_interference
-                        - u.same_service_analytic)
-                       / math.hypot(u.self_interference_se,
-                                    u.same_service_interference_se)
-                       for u in users]])
+            u = per_user(empirical_sinr(config, profile, alloc, 200,
+                                        seed=seed))
+            z.append([(u.desired_power - u.desired_power_analytic)
+                      / u.desired_power_se,
+                      (u.self_interference + u.same_service_interference
+                       - u.same_service_analytic)
+                      / np.hypot(u.self_interference_se,
+                                 u.same_service_interference_se)])
         spread = np.std(z, axis=0, ddof=1)
         assert np.all((spread >= 0.8) & (spread <= 1.2)), spread
 
